@@ -12,11 +12,14 @@
 // all worker counts; any divergence is reported and fails the bench.
 //
 // Usage: bench_parallel_scaling [tiles] [size_param] [num_targets] [out.json]
+// The three counts must be positive decimal integers; a malformed or zero
+// value exits 2 with a usage line (exit 1 means a run failed or diverged).
 // Defaults (6, 16, 5) finish in under a minute on one core; the JSON
 // document also lands in BENCH_parallel.json ("-" disables the file).
 // Speedup > 1 requires actual hardware parallelism; on a single-CPU machine
 // the interesting output is the overhead column staying near 1.0.
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -96,6 +99,30 @@ EcoInstance tileUnits(const std::vector<benchgen::UnitSpec>& specs,
   return out;
 }
 
+[[noreturn]] void usage(const char* problem) {
+  std::fprintf(stderr,
+               "bench_parallel_scaling: %s\n"
+               "usage: bench_parallel_scaling [tiles] [size_param] "
+               "[num_targets] [out.json|-]\n",
+               problem);
+  std::exit(2);
+}
+
+/// Parses a whole decimal argument in [1, 2^32); anything else (atoi's
+/// silent 0, trailing garbage, zero, overflow) is a usage error.
+unsigned parsePositive(const char* s, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || *s == '-' || errno == ERANGE || v == 0 ||
+      v > 0xffffffffULL) {
+    const std::string msg = std::string("expected a positive integer for ") +
+                            what + ", got '" + s + "'";
+    usage(msg.c_str());
+  }
+  return static_cast<unsigned>(v);
+}
+
 struct RunSample {
   std::uint32_t threads = 0;
   PatchResult result;
@@ -108,9 +135,10 @@ struct RunSample {
 int main(int argc, char** argv) {
   using namespace eco;
 
-  const unsigned tiles = argc > 1 ? std::atoi(argv[1]) : 6;
-  const unsigned size_param = argc > 2 ? std::atoi(argv[2]) : 16;
-  const unsigned num_targets = argc > 3 ? std::atoi(argv[3]) : 5;
+  if (argc > 5) usage("too many arguments");
+  const unsigned tiles = argc > 1 ? parsePositive(argv[1], "tiles") : 6;
+  const unsigned size_param = argc > 2 ? parsePositive(argv[2], "size_param") : 16;
+  const unsigned num_targets = argc > 3 ? parsePositive(argv[3], "num_targets") : 5;
   const std::string json_path = argc > 4 ? argv[4] : "BENCH_parallel.json";
 
   std::vector<benchgen::UnitSpec> specs;

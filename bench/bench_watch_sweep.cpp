@@ -1,6 +1,7 @@
 // E4 — |Watch| (beta) sweep (Sec. 6.2): the paper reports |Watch| = 5 as a
 // good quality/performance trade-off; counterexample enumeration is bounded
-// by 2^|Watch| x |B'| SAT calls, so cost falls and runtime rises with beta.
+// by 2^|Watch| x |B'| SAT calls, so runtime rises with beta; the paper
+// expects cost to fall.
 
 #include <cstdio>
 
@@ -43,7 +44,8 @@ int main() {
     }
     std::printf("\n");
   }
-  std::printf("\nexpected shape: cost non-increasing (then flat) in beta,\n"
-              "runtime increasing; beta = 5 near the knee.\n");
+  std::printf("\npaper's shape: cost non-increasing in beta, runtime increasing.\n"
+              "On this suite cost is not monotone (unit20: 6 at beta = 1, 20 above;\n"
+              "unit09: 31 at beta = 2, 32 above); see EXPERIMENTS.md E4.\n");
   return rc;
 }

@@ -72,6 +72,7 @@ std::vector<std::uint64_t> RebaseOracle::enumerateCex(
 
   std::vector<std::uint64_t> patterns;
   std::unordered_set<std::uint64_t> seen;
+  std::vector<sat::Var> controls;
   while (patterns.size() < max_cex) {
     const sat::Status status = solver_.solve(assumptions);
     if (status != sat::Status::Sat) break;  // Unsat: fully enumerated
@@ -86,6 +87,7 @@ std::vector<std::uint64_t> RebaseOracle::enumerateCex(
     // Block this on-side valuation under a fresh control variable
     // (Sec. 6.2.1): c -> OR_j (watch_j != pat_j).
     const sat::Var c = solver_.newVar();
+    controls.push_back(c);
     std::vector<sat::SLit> clause{sat::SLit::make(c, true)};
     for (std::size_t j = 0; j < watch.size(); ++j) {
       const bool bit = (pat >> j) & 1;
@@ -94,6 +96,10 @@ std::vector<std::uint64_t> RebaseOracle::enumerateCex(
     solver_.addClause(clause);
     assumptions.push_back(sat::SLit::make(c, false));
   }
+  // Retire this enumeration's controls: the root unit ~c satisfies each
+  // blocking clause, so later queries never have to decide c again.
+  // solve() returned at level 0, where clauses may be added.
+  for (const sat::Var c : controls) solver_.addClause({sat::SLit::make(c, true)});
   return patterns;
 }
 

@@ -9,7 +9,9 @@
 // A candidate base set is feasible — some function over it implements the
 // patch — iff the formula is UNSAT under the unit assumptions selecting it.
 // Counterexample enumeration over the Watch signals (Sec. 6.2.1) uses
-// control variables to block witnessed on-side valuations.
+// control variables to block witnessed on-side valuations. Each control
+// variable is retired by the root unit ~c when its enumeration ends, so
+// the blocks never outlive the enumeration that made them.
 
 #include <cstdint>
 #include <optional>
@@ -44,12 +46,14 @@ class RebaseOracle {
   /// Counterexample enumeration (Sec. 6.2.1): with `selected` assumed,
   /// enumerates distinct on-side valuations of the `watch` candidates
   /// (bit i of a pattern = value of watch[i] in the A copy), blocking each
-  /// with a fresh control variable. Stops at `max_cex` patterns.
+  /// with a fresh control variable. Stops at `max_cex` patterns. The
+  /// control variables are retired (fixed false at the root) on return.
   std::vector<std::uint64_t> enumerateCex(std::span<const std::uint32_t> selected,
                                           std::span<const std::uint32_t> watch,
                                           std::uint32_t max_cex);
 
   std::uint64_t numConflicts() const { return solver_.numConflicts(); }
+  std::uint64_t numDecisions() const { return solver_.numDecisions(); }
 
  private:
   sat::Solver solver_;

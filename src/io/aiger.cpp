@@ -136,11 +136,19 @@ Aig parseAiger(const std::string& data) {
   const bool binary = magic == "aig";
   if (!binary && magic != "aag") fail("unknown magic '" + magic + "'");
   if (L != 0) fail("sequential designs (latches) are not supported");
-  if (M < I + A) fail("inconsistent header counts");
+  // Header counts are 32-bit; add them in 64 bits so they cannot wrap.
+  if (std::uint64_t{M} < std::uint64_t{I} + A) fail("inconsistent header counts");
+  // M sizes the literal table before any definition is read. Bound it by
+  // the implicit binary inputs plus one variable per input byte; no real
+  // file numbers its variables more sparsely than that.
+  if (std::uint64_t{M} > std::uint64_t{binary ? I : 0} + data.size()) {
+    fail("maximum variable index " + std::to_string(M) +
+         " exceeds what the input can define");
+  }
 
   Aig aig;
   // aiger var -> our literal. Var 0 is constant FALSE in both encodings.
-  std::vector<Lit> lit_of(M + 1, Lit());
+  std::vector<Lit> lit_of(std::size_t{M} + 1, Lit());
   lit_of[0] = kFalse;
   const auto litOf = [&](std::uint32_t l) -> Lit {
     if (l / 2 > M) fail("literal out of range");

@@ -89,6 +89,15 @@ TEST(Aiger, RejectsBadMagic) {
   EXPECT_THROW(parseAiger("agg 0 0 0 0 0\n"), std::runtime_error);
 }
 
+TEST(Aiger, RejectsHeaderCountsThatWrap) {
+  // M + 1 wraps to 0 in 32 bits: the table for M would be empty.
+  EXPECT_THROW(parseAiger("aag 4294967295 0 0 0 0\n"), std::runtime_error);
+  // I + A wraps to 1, which would let M = 1 pass the consistency check.
+  EXPECT_THROW(parseAiger("aag 1 4294967295 0 0 2\n"), std::runtime_error);
+  // An M far beyond anything the input defines.
+  EXPECT_THROW(parseAiger("aig 100000 0 0 0 0\n"), std::runtime_error);
+}
+
 TEST(Aiger, RejectsTruncatedBinary) {
   Aig aig;
   const Lit a = aig.addPi("a");

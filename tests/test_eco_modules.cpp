@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "eco/candidates.h"
@@ -281,6 +282,45 @@ TEST(Rebase, CexEnumerationTerminatesAndBlocks) {
   EXPECT_EQ(pats[0], 0b11u);
   // Oracle must remain usable: feasibility query unaffected by controls.
   EXPECT_TRUE(oracle.feasible(std::vector<std::uint32_t>{0}));
+}
+
+TEST(Rebase, CexEnumerationRetiresControlVariables) {
+  // on = x0|x1 has three on-side valuations of {x0, x1}, none fixed at the
+  // root, so every blocking clause keeps its control variable free unless
+  // the enumeration retires it.
+  RebaseFixture fx = makeRebaseFixture();
+  fx.on = !fx.off;
+  RebaseOracle oracle(fx.ws, fx.on, fx.off, fx.cands);
+  ASSERT_EQ(fx.cands.size(), 4u);
+  const auto feasibleBySubset = [&] {
+    std::vector<bool> answers;
+    for (std::uint32_t mask = 0; mask < 16; ++mask) {
+      std::vector<std::uint32_t> sel;
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        if ((mask >> i) & 1) sel.push_back(i);
+      }
+      answers.push_back(oracle.feasible(sel));
+    }
+    return answers;
+  };
+  const std::vector<bool> feasible_before = feasibleBySubset();
+
+  const std::vector<std::uint32_t> watch{0, 1};
+  const std::vector<std::uint64_t> expected{0b01, 0b10, 0b11};
+  constexpr int kEnumerations = 200;
+  std::uint64_t last_decisions_per_sat = 0;
+  for (int round = 0; round < kEnumerations; ++round) {
+    const std::uint64_t before = oracle.numDecisions();
+    auto pats = oracle.enumerateCex({}, watch, 16);
+    const std::uint64_t decisions = oracle.numDecisions() - before;
+    std::sort(pats.begin(), pats.end());
+    ASSERT_EQ(pats, expected) << "round " << round;
+    last_decisions_per_sat = decisions / pats.size();
+  }
+  // Without retirement the last enumeration makes ~400 decisions per Sat
+  // answer on stale controls; retired, it makes a handful (3).
+  EXPECT_LE(last_decisions_per_sat, 32u);
+  EXPECT_EQ(feasibleBySubset(), feasible_before);
 }
 
 TEST(CostOpt, SelectsCheaperEquivalentBase) {
