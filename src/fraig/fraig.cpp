@@ -83,10 +83,11 @@ constexpr std::size_t kPairChunk = 32;
 /// solver. Everything here is chunk-local and the chunk's contents depend
 /// only on the (sorted) task list, so every outcome — including
 /// counterexample models — is deterministic for a fixed pattern history,
-/// independent of scheduling order or worker count.
-void checkPairChunk(const Aig& aig, std::span<const PairTask> tasks,
-                    std::span<PairResult> results, std::int64_t budget,
-                    std::uint64_t cex_seed) {
+/// independent of scheduling order or worker count. Returns the chunk
+/// solver's conflict count.
+std::uint64_t checkPairChunk(const Aig& aig, std::span<const PairTask> tasks,
+                             std::span<PairResult> results, std::int64_t budget,
+                             std::uint64_t cex_seed) {
   // Preprocessing stays off: each task's encodeCone call may reuse internal
   // variables encoded by earlier tasks, which variable elimination would
   // have removed from the database.
@@ -139,6 +140,52 @@ void checkPairChunk(const Aig& aig, std::span<const PairTask> tasks,
     result.outcome = s2 == sat::Status::Unsat ? PairOutcome::Equivalent
                                               : PairOutcome::Abandoned;
   }
+  return solver.numConflicts();
+}
+
+// Key of a settled pair: (lo var, hi var).
+std::uint64_t pairKey(std::uint32_t a, std::uint32_t b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
+}
+
+/// This round's candidate pairs. Unmerged cone nodes are bucketed by
+/// canonical simulation signature; each bucket's smallest node (its
+/// representative) is paired with every other member whose signature
+/// matches exactly, unless the pair is already settled. The pairs come back
+/// in no particular order: each sweep path sorts them its own way.
+std::vector<PairTask> collectPairs(
+    const sim::PatternSet& values, std::span<const std::uint32_t> cone_vars,
+    const EquivClasses& classes,
+    const std::unordered_set<std::uint64_t>& settled) {
+  // Bucket by canonical signature hash. cone_vars is ascending, so each
+  // bucket's first member is its smallest.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+  for (const std::uint32_t var : cone_vars) {
+    if (classes.hasSmallerEquiv(var)) continue;  // already merged
+    const auto sig = values.of(var);
+    buckets[hashWords(sig, canonicalPhase(sig))].push_back(var);
+  }
+
+  std::vector<PairTask> tasks;
+  for (const auto& [hash, members] : buckets) {
+    (void)hash;
+    const std::uint32_t rep = members[0];
+    const auto rep_sig = values.of(rep);
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      const std::uint32_t cand = members[i];
+      if (settled.count(pairKey(rep, cand)) != 0) continue;
+      // Exact signature comparison (hash buckets can collide).
+      const auto cand_sig = values.of(cand);
+      const bool phase_diff = canonicalPhase(rep_sig) != canonicalPhase(cand_sig);
+      const std::uint64_t m = phase_diff ? ~std::uint64_t{0} : 0;
+      bool equal = true;
+      for (std::size_t w = 0; w < rep_sig.size() && equal; ++w) {
+        equal = rep_sig[w] == (cand_sig[w] ^ m);
+      }
+      if (equal) tasks.push_back(PairTask{rep, cand, phase_diff});
+    }
+  }
+  return tasks;
 }
 
 }  // namespace
@@ -162,7 +209,7 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
       options.pool != nullptr && options.pool->numWorkers() >= 2;
 
   // Sequential path: one incremental solver over the whole region, cones
-  // encoded on demand. The parallel path instead encodes per pair. Like the
+  // encoded on demand. The parallel path instead encodes per chunk. Like the
   // chunk solver, preprocessing must stay off — later cones reference
   // earlier-encoded internals.
   sat::Solver solver;
@@ -172,16 +219,14 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
     for (std::uint32_t i = 0; i < aig.numPis(); ++i) {
       cnf_map[aig.piVar(i)] = sat::SLit::make(solver.newVar(), false);
     }
+    solver.setConflictBudget(options.conflict_budget);
   }
   const auto litOf = [&](Lit l) {
     return cnf::encodeCone(aig, l, cnf_map, sink);
   };
 
-  // Pairs already proven or abandoned, keyed by (lo var, hi var).
+  // Pairs already proven or abandoned, keyed by pairKey.
   std::unordered_set<std::uint64_t> settled;
-  const auto pairKey = [](std::uint32_t a, std::uint32_t b) {
-    return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
-  };
 
   // Pending counterexamples collected during a verification sweep.
   sim::PatternSet cex(aig.numPis(), 1);
@@ -193,49 +238,17 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
     obs::Span round_span("fraig.round");
     round_span.arg("round", round);
     const sim::PatternSet values = sim::simulateAll(aig, patterns);
-
-    // Bucket by canonical signature hash.
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    for (const std::uint32_t var : cone_vars) {
-      if (classes.hasSmallerEquiv(var)) continue;  // already merged
-      const auto sig = values.of(var);
-      buckets[hashWords(sig, canonicalPhase(sig))].push_back(var);
-    }
-
-    // Exact signature comparison (hash buckets can collide).
-    const auto sigsEqual = [&](std::uint32_t rep, std::uint32_t cand,
-                               bool* phase_diff) {
-      const auto rep_sig = values.of(rep);
-      const auto cand_sig = values.of(cand);
-      *phase_diff = canonicalPhase(rep_sig) != canonicalPhase(cand_sig);
-      const std::uint64_t m = *phase_diff ? ~std::uint64_t{0} : 0;
-      for (std::uint32_t w = 0; w < patterns.wordsPerSignal(); ++w) {
-        if (rep_sig[w] != (cand_sig[w] ^ m)) return false;
-      }
-      return true;
-    };
+    std::vector<PairTask> tasks =
+        collectPairs(values, cone_vars, classes, settled);
 
     bool found_cex = false;
     cex_count = 0;
 
     if (parallel) {
-      // Batched sweep: collect this round's unsettled simulation-equal
-      // pairs, decide each one concurrently on an isolated solver, then
-      // merge outcomes in deterministic pair order at the barrier below.
-      std::vector<PairTask> tasks;
-      for (auto& [hash, members] : buckets) {
-        (void)hash;
-        if (members.size() < 2) continue;
-        std::sort(members.begin(), members.end());
-        const std::uint32_t rep = members[0];
-        for (std::size_t i = 1; i < members.size(); ++i) {
-          const std::uint32_t cand = members[i];
-          if (settled.count(pairKey(rep, cand)) != 0) continue;
-          bool phase_diff = false;
-          if (!sigsEqual(rep, cand, &phase_diff)) continue;
-          tasks.push_back(PairTask{rep, cand, phase_diff});
-        }
-      }
+      // Batched sweep: decide each pair concurrently on an isolated chunk
+      // solver, then merge outcomes in deterministic pair order at the
+      // barrier below. (rep, cand) order puts the pairs of one
+      // representative into one chunk, so a chunk encodes few cones.
       std::sort(tasks.begin(), tasks.end(),
                 [](const PairTask& a, const PairTask& b) {
                   return a.rep != b.rep ? a.rep < b.rep : a.cand < b.cand;
@@ -245,19 +258,21 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
       std::vector<PairResult> results(tasks.size());
       const std::size_t num_chunks =
           (tasks.size() + kPairChunk - 1) / kPairChunk;
+      std::vector<std::uint64_t> chunk_conflicts(num_chunks, 0);
       options.pool->parallelFor(num_chunks, [&](std::size_t c) {
         // Runs on a pool worker: the chunk span lands in that worker's
         // thread-local buffer and renders on its own trace row.
-        obs::Span chunk_span("fraig.pair_chunk");
-        chunk_span.arg("pairs", std::min(kPairChunk, tasks.size() - c * kPairChunk));
         const std::size_t begin = c * kPairChunk;
         const std::size_t len = std::min(kPairChunk, tasks.size() - begin);
-        checkPairChunk(
+        obs::Span chunk_span("fraig.pair_chunk");
+        chunk_span.arg("pairs", len);
+        chunk_conflicts[c] = checkPairChunk(
             aig, std::span<const PairTask>(tasks.data() + begin, len),
             std::span<PairResult>(results.data() + begin, len),
             options.conflict_budget,
             options.seed ^ (0x9E3779B97F4A7C15ULL * (round + 1)));
       });
+      for (const std::uint64_t c : chunk_conflicts) local.sat_conflicts += c;
 
       // Deterministic barrier: apply merges and pattern feedback in pair
       // order. Representatives are bucket minima, so they are never merged
@@ -290,65 +305,44 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
         }
       }
     } else {
-      for (auto& [hash, members] : buckets) {
-        (void)hash;
-        if (members.size() < 2) continue;
-        std::sort(members.begin(), members.end());
-        const std::uint32_t rep = members[0];
-        for (std::size_t i = 1; i < members.size(); ++i) {
-          const std::uint32_t cand = members[i];
-          if (settled.count(pairKey(rep, cand)) != 0) continue;
-          bool phase_diff = false;
-          if (!sigsEqual(rep, cand, &phase_diff)) continue;
-
-          // SAT check: rep_lit == cand_lit (with relative phase)?
-          const Lit rep_lit = Lit::fromVar(rep, false);
-          const Lit cand_lit = Lit::fromVar(cand, phase_diff);
-          const sat::SLit a = litOf(rep_lit);
-          const sat::SLit b = litOf(cand_lit);
-          solver.setConflictBudget(options.conflict_budget);
-          const sat::Status s1 = solver.solve({a, ~b});
+      // Ascending candidate order is topological order (a node's fanins
+      // have smaller indices), so the pairs in a candidate's fanin cone are
+      // decided before it and their learned clauses shorten its proof.
+      std::sort(tasks.begin(), tasks.end(),
+                [](const PairTask& a, const PairTask& b) {
+                  return a.cand < b.cand;
+                });
+      for (const PairTask& t : tasks) {
+        // SAT check: rep_lit == cand_lit (with relative phase)?
+        const Lit rep_lit = Lit::fromVar(t.rep, false);
+        const sat::SLit a = litOf(rep_lit);
+        const sat::SLit b = litOf(Lit::fromVar(t.cand, t.phase_diff));
+        const sat::Status s1 = solver.solve({a, ~b});
+        ++local.sat_queries;
+        sat::Status s2 = sat::Status::Undef;
+        if (s1 == sat::Status::Unsat) {
+          s2 = solver.solve({~a, b});
           ++local.sat_queries;
-          if (s1 == sat::Status::Sat) {
-            // Record the distinguishing pattern.
-            for (std::uint32_t p = 0; p < aig.numPis(); ++p) {
-              const sat::SLit pl = cnf_map.at(aig.piVar(p));
-              const sat::LBool v = solver.modelValue(pl);
-              cex.setBit(p, cex_count % 64,
-                         v == sat::LBool::Undef ? rng.chance(1, 2)
-                                                : v == sat::LBool::True);
-            }
-            ++cex_count;
-            ++local.counterexamples;
-            found_cex = true;
-            continue;
-          }
-          sat::Status s2 = sat::Status::Undef;
-          if (s1 == sat::Status::Unsat) {
-            s2 = solver.solve({~a, b});
-            ++local.sat_queries;
-          }
-          if (s2 == sat::Status::Sat) {
-            for (std::uint32_t p = 0; p < aig.numPis(); ++p) {
-              const sat::SLit pl = cnf_map.at(aig.piVar(p));
-              const sat::LBool v = solver.modelValue(pl);
-              cex.setBit(p, cex_count % 64,
-                         v == sat::LBool::Undef ? rng.chance(1, 2)
-                                                : v == sat::LBool::True);
-            }
-            ++cex_count;
-            ++local.counterexamples;
-            found_cex = true;
-            continue;
-          }
-          if (s1 == sat::Status::Unsat && s2 == sat::Status::Unsat) {
-            classes.merge(cand, phase_diff ? !rep_lit : rep_lit);
-          }
-          // Proven or abandoned either way: never re-query this pair.
-          settled.insert(pairKey(rep, cand));
-          if (cex_count >= 64) break;
         }
-        if (cex_count >= 64) break;
+        if (s1 == sat::Status::Sat || s2 == sat::Status::Sat) {
+          // Record the distinguishing pattern.
+          for (std::uint32_t p = 0; p < aig.numPis(); ++p) {
+            const sat::LBool v = solver.modelValue(cnf_map.at(aig.piVar(p)));
+            cex.setBit(p, cex_count,
+                       v == sat::LBool::Undef ? rng.chance(1, 2)
+                                              : v == sat::LBool::True);
+          }
+          ++cex_count;
+          ++local.counterexamples;
+          found_cex = true;
+          if (cex_count == 64) break;
+          continue;
+        }
+        if (s2 == sat::Status::Unsat) {
+          classes.merge(t.cand, t.phase_diff ? !rep_lit : rep_lit);
+        }
+        // Proven or abandoned either way: never re-query this pair.
+        settled.insert(pairKey(t.rep, t.cand));
       }
     }
 
@@ -363,6 +357,7 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
     }
     patterns = std::move(extended);
   }
+  if (!parallel) local.sat_conflicts = solver.numConflicts();
   ECO_OBS_COUNT("fraig.sweeps", 1);
   ECO_OBS_COUNT("fraig.rounds", local.rounds);
   ECO_OBS_COUNT("fraig.sat_queries", local.sat_queries);

@@ -30,11 +30,13 @@ struct Options {
   std::int64_t conflict_budget = 10000;  ///< per-query SAT budget
   std::uint64_t seed = 0xECD5EEDULL;
   /// When non-null with >= 2 workers, each refinement round batches its
-  /// candidate-pair SAT checks and runs them concurrently, one fresh
-  /// sat::Solver per pair over a thread-local CNF encoding; outcomes are
-  /// merged at a deterministic barrier in pair order, so the refinement is
-  /// reproducible and independent of the worker count. Null (or a 1-worker
-  /// pool) selects the sequential incremental-solver path.
+  /// candidate-pair SAT checks into fixed chunks of 32 pairs in
+  /// (representative, candidate) order and runs the chunks concurrently,
+  /// one fresh incremental sat::Solver per chunk; outcomes are merged at a
+  /// deterministic barrier in pair order, so the refinement is reproducible
+  /// and independent of the worker count. Null (or a 1-worker pool)
+  /// selects the sequential path: one incremental solver for the whole
+  /// call, pairs decided in ascending candidate (topological) order.
   ThreadPool* pool = nullptr;
 };
 
@@ -43,6 +45,7 @@ struct Stats {
   std::uint64_t sat_queries = 0;     ///< individual solve() calls issued
   std::uint32_t rounds = 0;          ///< refinement rounds executed
   std::uint64_t counterexamples = 0; ///< distinguishing patterns fed back
+  std::uint64_t sat_conflicts = 0;   ///< conflicts of this call's solvers
 };
 
 class EquivClasses {

@@ -1,5 +1,7 @@
 #include "io/aiger.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +15,18 @@ namespace {
 
 [[noreturn]] void fail(const std::string& msg) {
   throw std::runtime_error("aiger: " + msg);
+}
+
+/// Parses all of `text` as a decimal number that fits in 32 bits; anything
+/// else (empty, a sign, trailing bytes, overflow) fails naming `what`.
+std::uint32_t parseU32(const std::string& text, const std::string& what) {
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    fail("bad " + what + " '" + text.substr(0, 32) + "'");
+  }
+  return value;
 }
 
 struct Layout {
@@ -128,11 +142,16 @@ Aig parseAiger(const std::string& data) {
     return line;
   };
 
-  std::string header = readLine();
-  std::istringstream hs(header);
-  std::string magic;
-  std::uint32_t M = 0, I = 0, L = 0, O = 0, A = 0;
-  if (!(hs >> magic >> M >> I >> L >> O >> A)) fail("malformed header");
+  std::istringstream hs(readLine());
+  std::string magic, counts[5];
+  if (!(hs >> magic >> counts[0] >> counts[1] >> counts[2] >> counts[3] >> counts[4])) {
+    fail("malformed header");
+  }
+  const std::uint32_t M = parseU32(counts[0], "header count");
+  const std::uint32_t I = parseU32(counts[1], "header count");
+  const std::uint32_t L = parseU32(counts[2], "header count");
+  const std::uint32_t O = parseU32(counts[3], "header count");
+  const std::uint32_t A = parseU32(counts[4], "header count");
   const bool binary = magic == "aig";
   if (!binary && magic != "aag") fail("unknown magic '" + magic + "'");
   if (L != 0) fail("sequential designs (latches) are not supported");
@@ -157,12 +176,21 @@ Aig parseAiger(const std::string& data) {
     return base ^ ((l & 1) != 0);
   };
 
+  // Every ASCII input and every output takes one line; check that the
+  // input has that many lines left before sizing tables by the counts.
+  const std::uint64_t lines_needed = std::uint64_t{O} + (binary ? 0 : I);
+  const auto lines_left = static_cast<std::uint64_t>(
+      std::count(data.begin() + static_cast<std::ptrdiff_t>(pos), data.end(), '\n'));
+  if (lines_needed > lines_left) {
+    fail("header counts need " + std::to_string(lines_needed) +
+         " input/output lines but only " + std::to_string(lines_left) + " follow");
+  }
   std::vector<std::uint32_t> input_lits(I), output_lits(O);
   if (binary) {
     for (std::uint32_t i = 0; i < I; ++i) input_lits[i] = 2 * (i + 1);
   } else {
     for (std::uint32_t i = 0; i < I; ++i) {
-      input_lits[i] = static_cast<std::uint32_t>(std::stoul(readLine()));
+      input_lits[i] = parseU32(readLine(), "input literal");
       if (input_lits[i] != 2 * (i + 1)) fail("non-canonical input numbering");
     }
   }
@@ -170,7 +198,7 @@ Aig parseAiger(const std::string& data) {
     lit_of[input_lits[i] / 2] = aig.addPi();
   }
   for (std::uint32_t i = 0; i < O; ++i) {
-    output_lits[i] = static_cast<std::uint32_t>(std::stoul(readLine()));
+    output_lits[i] = parseU32(readLine(), "output literal");
   }
 
   if (binary) {
@@ -189,8 +217,11 @@ Aig parseAiger(const std::string& data) {
     // non-standard files; require the canonical ascending order.
     for (std::uint32_t a = 0; a < A; ++a) {
       std::istringstream ls(readLine());
-      std::uint32_t lhs = 0, rhs0 = 0, rhs1 = 0;
-      if (!(ls >> lhs >> rhs0 >> rhs1)) fail("malformed and line");
+      std::string fields[3];
+      if (!(ls >> fields[0] >> fields[1] >> fields[2])) fail("malformed and line");
+      const std::uint32_t lhs = parseU32(fields[0], "and literal");
+      const std::uint32_t rhs0 = parseU32(fields[1], "and literal");
+      const std::uint32_t rhs1 = parseU32(fields[2], "and literal");
       if ((lhs & 1) != 0 || lhs / 2 > M) fail("bad and lhs");
       if (lit_of[lhs / 2].valid()) fail("redefinition of " + std::to_string(lhs));
       lit_of[lhs / 2] = aig.addAnd(litOf(rhs0), litOf(rhs1));
@@ -213,7 +244,7 @@ Aig parseAiger(const std::string& data) {
     if (line[0] != 'i' && line[0] != 'o') fail("bad symbol line '" + line + "'");
     const std::size_t sp = line.find(' ');
     if (sp == std::string::npos) fail("bad symbol line '" + line + "'");
-    const auto idx = static_cast<std::uint32_t>(std::stoul(line.substr(1, sp - 1)));
+    const std::uint32_t idx = parseU32(line.substr(1, sp - 1), "symbol index");
     const std::string name = line.substr(sp + 1);
     if (line[0] == 'i') {
       if (idx >= I) fail("input symbol out of range");

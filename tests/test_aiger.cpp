@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "base/rng.h"
 #include "io/aiger.h"
@@ -96,6 +97,44 @@ TEST(Aiger, RejectsHeaderCountsThatWrap) {
   EXPECT_THROW(parseAiger("aag 1 4294967295 0 0 2\n"), std::runtime_error);
   // An M far beyond anything the input defines.
   EXPECT_THROW(parseAiger("aig 100000 0 0 0 0\n"), std::runtime_error);
+}
+
+TEST(Aiger, RejectsMalformedNumbers) {
+  // Each of these must fail as an aiger parse error, not leak a bare
+  // std::invalid_argument / std::out_of_range or truncate silently.
+  const char* const inputs[] = {
+      "aag 1 1 0 0 0\nxyz\n",              // input literal is not a number
+      "aag 1 1 0 1 0\n2\n4294967298\n",    // 2^32 + 2 would truncate to 2
+      "aag 1 1 0 1 0\n2\n2 \n",            // trailing byte
+      "aag 1 1 0 1 0\n2\n-2\n",            // sign
+      "aag 1 1 0 1 0\n2\n\n",              // empty
+      "aag 1 1 0 1 0\n2\n2\nix a\n",      // symbol index is not a number
+      "aag 1 1 0 -0 0\n2\n",                // sign in a header count
+      "aag 2 1 0 1 1\n2\n4\n4 2 -1\n",     // -1 would wrap to 2^32 - 1
+      "aag 2 1 0 1 1\n2\n4\n4 2 3x\n",     // trailing byte in an and line
+  };
+  for (const char* text : inputs) {
+    try {
+      (void)parseAiger(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("aiger: ", 0), 0u) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wrong exception for " << text << ": " << e.what();
+    }
+  }
+}
+
+TEST(Aiger, RejectsMoreOutputsThanLines) {
+  // The output table must not be sized from the header alone: 4e9 outputs
+  // would ask for 16 GB before the first output line is read.
+  EXPECT_THROW(parseAiger("aag 0 0 0 4000000000 0\n"), std::runtime_error);
+  EXPECT_THROW(parseAiger("aag 1 1 0 1 0\n2\n"), std::runtime_error);
+  EXPECT_THROW(parseAiger("aig 1 1 0 4000000000 0\n"), std::runtime_error);
+  // Exactly enough lines still parses.
+  const Aig aig = parseAiger("aag 1 1 0 1 0\n2\n3\n");
+  EXPECT_EQ(aig.numPis(), 1u);
+  EXPECT_EQ(aig.numPos(), 1u);
 }
 
 TEST(Aiger, RejectsTruncatedBinary) {
