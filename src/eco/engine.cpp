@@ -30,12 +30,24 @@ namespace eco {
 namespace {
 
 /// Merges the per-target patches into one patch network with deduplicated
-/// inputs and fills the result's base/cost/size fields.
+/// inputs and fills the result's base/cost/size fields. Each patch's
+/// inputs are visited in candidate-index order (inputs that are not
+/// candidates last, in patch order), so the reported base order does not
+/// depend on the order an unsat core listed them in.
 void assembleResult(const EcoInstance& instance,
+                    std::span<const Candidate> candidates,
                     std::span<const TargetPatch> patches, PatchResult& result) {
   result.patch = Aig();
   result.base.clear();
   std::unordered_map<std::string, Lit> pi_of_name;
+  std::unordered_map<std::string, std::size_t> candidate_index;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    candidate_index.emplace(candidates[i].name, i);
+  }
+  const auto indexOf = [&](const Candidate& in) {
+    const auto it = candidate_index.find(in.name);
+    return it != candidate_index.end() ? it->second : candidates.size();
+  };
 
   // Deterministic target order.
   std::vector<const TargetPatch*> ordered;
@@ -46,8 +58,13 @@ void assembleResult(const EcoInstance& instance,
             });
 
   for (const TargetPatch* p : ordered) {
+    std::vector<std::uint32_t> pis(p->fn.numPis());
+    for (std::uint32_t i = 0; i < pis.size(); ++i) pis[i] = i;
+    std::stable_sort(pis.begin(), pis.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return indexOf(p->inputs[a]) < indexOf(p->inputs[b]);
+    });
     VarMap map;
-    for (std::uint32_t i = 0; i < p->fn.numPis(); ++i) {
+    for (const std::uint32_t i : pis) {
       const Candidate& in = p->inputs[i];
       auto it = pi_of_name.find(in.name);
       if (it == pi_of_name.end()) {
@@ -367,7 +384,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
       return result;
     }
   }
-  assembleResult(instance, patches, result);
+  assembleResult(instance, candidates, patches, result);
   result.initial_cost = result.cost;
   result.initial_size = result.size;
   if (budgetExhausted("verify_initial")) {
@@ -549,7 +566,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
       return result;
     }
   }
-  assembleResult(instance, patches, result);
+  assembleResult(instance, candidates, patches, result);
   result.success = true;
   result.message = "ok";
 

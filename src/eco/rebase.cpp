@@ -1,11 +1,12 @@
 #include "eco/rebase.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <unordered_set>
 
 #include "base/check.h"
 #include "cnf/cnf.h"
 #include "itp/itp.h"
+#include "obs/metrics.h"
 
 namespace eco {
 
@@ -36,6 +37,32 @@ RebaseOracle::RebaseOracle(const Workspace& ws, Lit on_w, Lit off_w,
     val_a_.push_back(a);
     val_b_.push_back(b);
   }
+  words_ = (sel_.size() + 63) / 64;
+}
+
+void RebaseOracle::bankModel() {
+  const std::size_t start = bank_.size();
+  bank_.resize(start + 2 * words_, 0);
+  std::uint64_t* differ = bank_.data() + start;
+  std::uint64_t* a_value = differ + words_;
+  for (std::size_t i = 0; i < sel_.size(); ++i) {
+    const bool a = solver_.modelValue(val_a_[i]) == sat::LBool::True;
+    const bool b = solver_.modelValue(val_b_[i]) == sat::LBool::True;
+    differ[i / 64] |= std::uint64_t{a != b} << (i % 64);
+    a_value[i / 64] |= std::uint64_t{a} << (i % 64);
+  }
+  std::uint64_t hash = 0;
+  for (std::size_t w = start; w < bank_.size(); ++w) {
+    hash = (hash ^ bank_[w]) * 0x100000001b3u;
+  }
+  const auto [lo, hi] = bank_index_.equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    if (std::equal(differ, differ + 2 * words_, bank_.data() + it->second)) {
+      bank_.resize(start);  // already banked
+      return;
+    }
+  }
+  bank_index_.emplace(hash, start);
 }
 
 bool RebaseOracle::feasible(std::span<const std::uint32_t> selected) {
@@ -46,6 +73,9 @@ bool RebaseOracle::feasible(std::span<const std::uint32_t> selected) {
     assumptions.push_back(sel_[i]);
   }
   const sat::Status status = solver_.solve(assumptions);
+  ++solves_;
+  ECO_OBS_COUNT("rebase.feasible_solves", 1);
+  if (status == sat::Status::Sat) bankModel();
   if (status != sat::Status::Unsat) return false;
   // Map the failed-assumption core back to candidate indices.
   last_core_.clear();
@@ -68,24 +98,24 @@ std::vector<std::uint64_t> RebaseOracle::enumerateCex(
     std::uint32_t max_cex) {
   ECO_CHECK(watch.size() <= 64);
   std::vector<sat::SLit> assumptions;
-  for (const std::uint32_t i : selected) assumptions.push_back(sel_[i]);
+  std::vector<std::uint64_t> selected_mask(words_, 0);
+  for (const std::uint32_t i : selected) {
+    assumptions.push_back(sel_[i]);
+    selected_mask[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  // Past 2^|watch| patterns nothing is left to enumerate.
+  const std::uint64_t limit =
+      watch.size() < 64
+          ? std::min<std::uint64_t>(max_cex, std::uint64_t{1} << watch.size())
+          : max_cex;
 
   std::vector<std::uint64_t> patterns;
   std::unordered_set<std::uint64_t> seen;
   std::vector<sat::Var> controls;
-  while (patterns.size() < max_cex) {
-    const sat::Status status = solver_.solve(assumptions);
-    if (status != sat::Status::Sat) break;  // Unsat: fully enumerated
-    std::uint64_t pat = 0;
-    for (std::size_t j = 0; j < watch.size(); ++j) {
-      if (solver_.modelValue(val_a_[watch[j]]) == sat::LBool::True) {
-        pat |= std::uint64_t{1} << j;
-      }
-    }
-    if (!seen.insert(pat).second) break;  // defensive: should be blocked
+  // Block this on-side valuation under a fresh control variable
+  // (Sec. 6.2.1): c -> OR_j (watch_j != pat_j).
+  const auto block = [&](std::uint64_t pat) {
     patterns.push_back(pat);
-    // Block this on-side valuation under a fresh control variable
-    // (Sec. 6.2.1): c -> OR_j (watch_j != pat_j).
     const sat::Var c = solver_.newVar();
     controls.push_back(c);
     std::vector<sat::SLit> clause{sat::SLit::make(c, true)};
@@ -95,7 +125,44 @@ std::vector<std::uint64_t> RebaseOracle::enumerateCex(
     }
     solver_.addClause(clause);
     assumptions.push_back(sat::SLit::make(c, false));
+  };
+
+  // Banked collisions whose differing set misses `selected`.
+  for (std::size_t e = 0; e < bank_.size() && patterns.size() < limit;
+       e += 2 * words_) {
+    const std::uint64_t* differ = bank_.data() + e;
+    bool model = true;
+    for (std::size_t w = 0; w < words_ && model; ++w) {
+      model = (differ[w] & selected_mask[w]) == 0;
+    }
+    if (!model) continue;
+    const std::uint64_t* a_value = differ + words_;
+    std::uint64_t pat = 0;
+    for (std::size_t j = 0; j < watch.size(); ++j) {
+      pat |= ((a_value[watch[j] / 64] >> (watch[j] % 64)) & 1) << j;
+    }
+    if (seen.insert(pat).second) block(pat);
   }
+  const std::size_t banked = patterns.size();
+
+  std::uint64_t solves = 0;
+  while (patterns.size() < limit) {
+    const sat::Status status = solver_.solve(assumptions);
+    ++solves;
+    if (status != sat::Status::Sat) break;  // Unsat: fully enumerated
+    bankModel();
+    std::uint64_t pat = 0;
+    for (std::size_t j = 0; j < watch.size(); ++j) {
+      if (solver_.modelValue(val_a_[watch[j]]) == sat::LBool::True) {
+        pat |= std::uint64_t{1} << j;
+      }
+    }
+    if (!seen.insert(pat).second) break;  // defensive: should be blocked
+    block(pat);
+  }
+  solves_ += solves;
+  ECO_OBS_COUNT("rebase.enumerate_solves", solves);
+  ECO_OBS_COUNT("rebase.enumerate_banked", banked);
   // Retire this enumeration's controls: the root unit ~c satisfies each
   // blocking clause, so later queries never have to decide c again.
   // solve() returned at level 0, where clauses may be added.

@@ -12,10 +12,21 @@
 // control variables to block witnessed on-side valuations. Each control
 // variable is retired by the root unit ~c when its enumeration ends, so
 // the blocks never outlive the enumeration that made them.
+//
+// Every Sat model of the oracle is a collision: an on-set input X and an
+// off-set input X* that a base must tell apart. The oracle banks each
+// distinct collision as two candidate bitsets (the candidates whose A and
+// B values differ; the A values). A banked collision whose differing set
+// misses `selected` is a model of a later enumeration over `selected`,
+// since the root units ~c satisfy every retired block and learned clauses
+// hold in every model. enumerateCex therefore reads the patterns these
+// collisions imply first and asks the solver only for the rest; run to
+// completion, it returns the same pattern set either way.
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "eco/candidates.h"
@@ -46,21 +57,34 @@ class RebaseOracle {
   /// Counterexample enumeration (Sec. 6.2.1): with `selected` assumed,
   /// enumerates distinct on-side valuations of the `watch` candidates
   /// (bit i of a pattern = value of watch[i] in the A copy), blocking each
-  /// with a fresh control variable. Stops at `max_cex` patterns. The
-  /// control variables are retired (fixed false at the root) on return.
+  /// with a fresh control variable. Patterns implied by banked collisions
+  /// come first, in bank order, then the solver's. Stops at `max_cex`
+  /// patterns or once all 2^|watch| are found. The control variables are
+  /// retired (fixed false at the root) on return.
   std::vector<std::uint64_t> enumerateCex(std::span<const std::uint32_t> selected,
                                           std::span<const std::uint32_t> watch,
                                           std::uint32_t max_cex);
 
   std::uint64_t numConflicts() const { return solver_.numConflicts(); }
   std::uint64_t numDecisions() const { return solver_.numDecisions(); }
+  /// Solver calls made by feasible() and enumerateCex() so far.
+  std::uint64_t numSolves() const { return solves_; }
 
  private:
+  /// Banks the solver's current Sat model unless an equal entry exists.
+  void bankModel();
+
   sat::Solver solver_;
   std::vector<sat::SLit> sel_;    ///< selection literal per candidate
   std::vector<sat::SLit> val_a_;  ///< candidate value in the on (A) copy
   std::vector<sat::SLit> val_b_;  ///< candidate value in the off (B) copy
   std::vector<std::uint32_t> last_core_;
+  std::uint64_t solves_ = 0;
+  std::size_t words_ = 0;  ///< 64-bit words per candidate bitset
+  /// Collision bank, 2 * words_ words per entry: differing set, A values.
+  std::vector<std::uint64_t> bank_;
+  /// Entry hash -> entry start in bank_, for deduplication.
+  std::unordered_multimap<std::uint64_t, std::size_t> bank_index_;
 };
 
 /// Synthesizes a patch function over the selected candidates by Craig

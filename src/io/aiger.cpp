@@ -155,6 +155,11 @@ Aig parseAiger(const std::string& data) {
   const bool binary = magic == "aig";
   if (!binary && magic != "aag") fail("unknown magic '" + magic + "'");
   if (L != 0) fail("sequential designs (latches) are not supported");
+  if (std::max(M, I) > kAigerMaxVars) {
+    fail("header count " + std::to_string(std::max(M, I)) +
+         " exceeds the reader limit of " + std::to_string(kAigerMaxVars) +
+         " variables");
+  }
   // Header counts are 32-bit; add them in 64 bits so they cannot wrap.
   if (std::uint64_t{M} < std::uint64_t{I} + A) fail("inconsistent header counts");
   // M sizes the literal table before any definition is read. Bound it by

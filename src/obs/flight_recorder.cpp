@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 
@@ -39,15 +40,31 @@ struct FlightRing {
 
   explicit FlightRing(std::uint32_t id) : tid(id) {}
 
+  /// Empties the ring for a new owner; registry mutex held, no writer.
+  void reset() {
+    head.store(0, std::memory_order_relaxed);
+    for (Slot& s : slots) {
+      s.kind.store(0, std::memory_order_relaxed);
+      s.name.store(nullptr, std::memory_order_relaxed);
+    }
+    name.clear();
+  }
+
   const std::uint32_t tid;
   std::atomic<std::uint64_t> head{0};  ///< events ever recorded
   std::array<Slot, kCap> slots;
   std::string name;  ///< guarded by FlightRegistry::mutex
 };
 
+/// Rings of exited threads kept intact for postmortems; past this many,
+/// the oldest is reset and handed to the next new thread, so the ring
+/// count stays bounded by the live threads plus this.
+constexpr std::size_t kKeptDeadRings = 8;
+
 struct FlightRegistry {
   std::mutex mutex;
   std::vector<std::unique_ptr<FlightRing>> rings;
+  std::deque<FlightRing*> dead;  ///< rings of exited threads, oldest first
 };
 
 /// Never destroyed: rings must outlive exiting threads and any
@@ -59,14 +76,38 @@ FlightRegistry& flightRegistry() {
 
 thread_local FlightRing* t_ring = nullptr;
 
+/// Returns the calling thread's ring to the registry when the thread
+/// exits. Only touched when a ring is handed out, so record() reads the
+/// plain t_ring pointer without a TLS-destructor guard.
+struct RingLease {
+  RingLease() = default;
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+  ~RingLease() {
+    if (t_ring == nullptr) return;
+    FlightRegistry& reg = flightRegistry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.dead.push_back(t_ring);
+    t_ring = nullptr;
+  }
+};
+thread_local RingLease t_lease;
+
 FlightRing& localRing() {
   if (t_ring == nullptr) {
     FlightRegistry& reg = flightRegistry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    auto ring = std::make_unique<FlightRing>(
-        static_cast<std::uint32_t>(reg.rings.size()));
-    t_ring = ring.get();
-    reg.rings.push_back(std::move(ring));
+    if (reg.dead.size() > kKeptDeadRings) {
+      t_ring = reg.dead.front();
+      reg.dead.pop_front();
+      t_ring->reset();
+    } else {
+      auto ring = std::make_unique<FlightRing>(
+          static_cast<std::uint32_t>(reg.rings.size()));
+      t_ring = ring.get();
+      reg.rings.push_back(std::move(ring));
+    }
+    (void)&t_lease;  // odr-use: registers the lease's exit destructor
   }
   return *t_ring;
 }

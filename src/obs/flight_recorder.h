@@ -15,7 +15,10 @@
 // locks (TSan-clean). The single slot being overwritten while a dump
 // reads it can mix fields from two events; dumps tolerate that one-slot
 // fuzziness. Recording an event is a few relaxed stores plus one clock
-// read.
+// read. A thread's ring returns to the registry when the thread exits;
+// the last few returned rings stay intact for postmortems, and older ones
+// are reset and reused by new threads, so a process that starts a pool
+// per run keeps a bounded number of rings.
 //
 // Signal-path caveat: dumpPostmortem() serializes with ordinary code
 // (allocation, the registry mutexes), which is async-signal-unsafe in

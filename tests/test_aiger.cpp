@@ -99,6 +99,19 @@ TEST(Aiger, RejectsHeaderCountsThatWrap) {
   EXPECT_THROW(parseAiger("aig 100000 0 0 0 0\n"), std::runtime_error);
 }
 
+TEST(Aiger, RejectsHeaderAboveReaderLimit) {
+  // 32 bytes whose binary header asks for a billion inputs: rejected as a
+  // parse error before the input and literal tables are sized (~8 GB).
+  try {
+    (void)parseAiger("aig 1000000000 1000000000 0 0 0\n");
+    FAIL() << "accepted a header above the reader limit";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("aiger:", 0), 0u) << e.what();
+  }
+  EXPECT_THROW(parseAiger("aig " + std::to_string(kAigerMaxVars + 1) + " 0 0 0 0\n"),
+               std::runtime_error);
+}
+
 TEST(Aiger, RejectsMalformedNumbers) {
   // Each of these must fail as an aiger parse error, not leak a bare
   // std::invalid_argument / std::out_of_range or truncate silently.

@@ -308,19 +308,52 @@ TEST(Rebase, CexEnumerationRetiresControlVariables) {
   const std::vector<std::uint32_t> watch{0, 1};
   const std::vector<std::uint64_t> expected{0b01, 0b10, 0b11};
   constexpr int kEnumerations = 200;
-  std::uint64_t last_decisions_per_sat = 0;
+  std::uint64_t last_sat_decisions = 0;
   for (int round = 0; round < kEnumerations; ++round) {
-    const std::uint64_t before = oracle.numDecisions();
     auto pats = oracle.enumerateCex({}, watch, 16);
-    const std::uint64_t decisions = oracle.numDecisions() - before;
     std::sort(pats.begin(), pats.end());
     ASSERT_EQ(pats, expected) << "round " << round;
-    last_decisions_per_sat = decisions / pats.size();
+    // After the first round the collision bank answers the enumeration,
+    // so probe the controls with a Sat query of their own: nothing
+    // selected, the on-set and off-set inputs collide.
+    const std::uint64_t before = oracle.numDecisions();
+    ASSERT_FALSE(oracle.feasible(std::vector<std::uint32_t>{}));
+    last_sat_decisions = oracle.numDecisions() - before;
   }
-  // Without retirement the last enumeration makes ~400 decisions per Sat
-  // answer on stale controls; retired, it makes a handful (3).
-  EXPECT_LE(last_decisions_per_sat, 32u);
+  // Without retirement the last Sat answer has to decide every stale
+  // control; retired, it makes a handful of decisions.
+  EXPECT_LE(last_sat_decisions, 32u);
   EXPECT_EQ(feasibleBySubset(), feasible_before);
+}
+
+TEST(Rebase, BankedEnumerationMatchesSolvedWithFewerSolves) {
+  // on = x0|x1, off = !x0&!x1. Over Watch {x0, x1, nand2} with nothing
+  // selected the on side has three valuations: 0b001, 0b010, 0b111.
+  RebaseFixture fx = makeRebaseFixture();
+  fx.on = !fx.off;
+  RebaseOracle oracle(fx.ws, fx.on, fx.off, fx.cands);
+  const std::vector<std::uint32_t> watch{0, 1, 3};
+  const auto enumerate = [&](std::uint64_t* solves) {
+    const std::uint64_t before = oracle.numSolves();
+    auto pats = oracle.enumerateCex({}, watch, 16);
+    *solves = oracle.numSolves() - before;
+    std::sort(pats.begin(), pats.end());
+    return pats;
+  };
+  std::uint64_t cold_solves = 0;
+  const std::vector<std::uint64_t> cold = enumerate(&cold_solves);
+  EXPECT_EQ(cold, (std::vector<std::uint64_t>{0b001, 0b010, 0b111}));
+
+  // Other queries of the same oracle add collisions to its bank.
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    (void)oracle.feasible(std::vector<std::uint32_t>{i});
+  }
+  (void)oracle.enumerateCex(std::vector<std::uint32_t>{2},
+                            std::vector<std::uint32_t>{3}, 16);
+
+  std::uint64_t banked_solves = 0;
+  EXPECT_EQ(enumerate(&banked_solves), cold);
+  EXPECT_LT(banked_solves, cold_solves);
 }
 
 TEST(CostOpt, SelectsCheaperEquivalentBase) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/thread_pool.h"
+#include "eco/engine.h"
 #include "obs/obs.h"
 
 namespace eco::obs {
@@ -458,6 +459,34 @@ TEST(FlightRecorder, WorkerThreadsGetOwnRings) {
     }
   }
   EXPECT_TRUE(saw);
+}
+
+TEST(FlightRecorder, EngineRunsKeepRingCountBounded) {
+  // Each multi-threaded run starts a fresh pool whose workers record into
+  // rings; rings of exited workers are reused, so 600 worker threads over
+  // 200 runs leave only the live threads plus the few kept dead rings.
+  EcoInstance inst;
+  {
+    Aig& g = inst.golden;
+    const Lit a = g.addPi("a");
+    const Lit b = g.addPi("b");
+    g.addPo(g.mkXor(a, b), "o");
+  }
+  {
+    Aig& f = inst.faulty;
+    f.addPi("a");
+    f.addPi("b");
+    const Lit t = f.addPi("t");
+    inst.num_x = 2;
+    f.addPo(t, "o");
+  }
+  EcoOptions options;
+  options.num_threads = 3;
+  const EcoEngine engine(options);
+  for (int run = 0; run < 200; ++run) {
+    ASSERT_TRUE(engine.run(inst).success) << "run " << run;
+  }
+  EXPECT_LE(snapshotFlight().threads.size(), 16u);
 }
 
 #endif  // ECO_OBS_ENABLED
