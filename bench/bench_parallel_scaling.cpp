@@ -4,8 +4,9 @@
 // wall-clock, solver-call counters, and speedup relative to the
 // single-thread run.
 //
-// The workload tiles K independent benchgen units into one EcoInstance so
-// the engine sees K-plus clusters — the unit of per-cluster parallelism.
+// The workload tiles K independent benchgen units into one EcoInstance
+// (benchgen::tileInstances), so the engine sees K-plus clusters — the unit
+// of per-cluster parallelism.
 // Cost optimization is disabled by default: it is intentionally sequential
 // (globally stateful base selection), so including it would only dilute
 // the stages this bench measures. The patch must be bit-identical across
@@ -27,77 +28,14 @@
 #include <string>
 #include <vector>
 
-#include "aig/aig_ops.h"
 #include "base/thread_pool.h"
 #include "benchgen/benchgen.h"
+#include "benchgen/faults.h"
 #include "eco/engine.h"
 #include "obs/json.h"
 
 namespace eco {
 namespace {
-
-/// Splice independent benchgen units into one instance: the parts' X
-/// inputs come first (so num_x stays a prefix), then every part's target
-/// pseudo-PIs; cones, PO names, named signals, and weights are copied with
-/// a "uN/" prefix. Each part keeps its own output cones, so clustering
-/// recovers at least one cluster per part.
-EcoInstance tileUnits(const std::vector<benchgen::UnitSpec>& specs,
-                      const std::string& name) {
-  std::vector<EcoInstance> parts;
-  parts.reserve(specs.size());
-  for (const benchgen::UnitSpec& s : specs) {
-    parts.push_back(benchgen::generateUnit(s));
-  }
-
-  EcoInstance out;
-  out.name = name;
-  std::vector<VarMap> fmap(parts.size());
-  std::vector<VarMap> gmap(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const EcoInstance& p = parts[i];
-    const std::string pre = "u" + std::to_string(i) + "/";
-    for (std::uint32_t x = 0; x < p.num_x; ++x) {
-      const std::string nm = pre + p.faulty.piName(x);
-      fmap[i][p.faulty.piVar(x)] = out.faulty.addPi(nm);
-      gmap[i][p.golden.piVar(x)] = out.golden.addPi(nm);
-    }
-    out.num_x += p.num_x;
-  }
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const EcoInstance& p = parts[i];
-    const std::string pre = "u" + std::to_string(i) + "/";
-    for (std::uint32_t k = p.num_x; k < p.faulty.numPis(); ++k) {
-      fmap[i][p.faulty.piVar(k)] = out.faulty.addPi(pre + p.faulty.piName(k));
-    }
-  }
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const EcoInstance& p = parts[i];
-    const std::string pre = "u" + std::to_string(i) + "/";
-    std::vector<Lit> fr, gr;
-    for (std::uint32_t j = 0; j < p.faulty.numPos(); ++j) {
-      fr.push_back(p.faulty.poDriver(j));
-    }
-    for (std::uint32_t j = 0; j < p.golden.numPos(); ++j) {
-      gr.push_back(p.golden.poDriver(j));
-    }
-    const std::vector<Lit> fo = copyCones(p.faulty, fr, fmap[i], out.faulty);
-    const std::vector<Lit> go = copyCones(p.golden, gr, gmap[i], out.golden);
-    for (std::size_t j = 0; j < fo.size(); ++j) {
-      out.faulty.addPo(fo[j], pre + p.faulty.poName(static_cast<std::uint32_t>(j)));
-    }
-    for (std::size_t j = 0; j < go.size(); ++j) {
-      out.golden.addPo(go[j], pre + p.golden.poName(static_cast<std::uint32_t>(j)));
-    }
-    for (const auto& [nm, lit] : p.faulty.namedSignals()) {
-      const auto it = fmap[i].find(lit.var());
-      if (it != fmap[i].end()) {
-        out.faulty.setSignalName(it->second ^ lit.complemented(), pre + nm);
-      }
-    }
-    for (const auto& [nm, w] : p.weights) out.weights[pre + nm] = w;
-  }
-  return out;
-}
 
 [[noreturn]] void usage(const char* problem) {
   std::fprintf(stderr,
@@ -141,15 +79,15 @@ int main(int argc, char** argv) {
   const unsigned num_targets = argc > 3 ? parsePositive(argv[3], "num_targets") : 5;
   const std::string json_path = argc > 4 ? argv[4] : "BENCH_parallel.json";
 
-  std::vector<benchgen::UnitSpec> specs;
+  std::vector<EcoInstance> parts;
   for (unsigned i = 0; i < tiles; ++i) {
-    specs.push_back({.name = "p" + std::to_string(i),
-                     .family = benchgen::Family::Parity,
-                     .size_param = size_param,
-                     .num_targets = num_targets,
-                     .seed = 900 + i});
+    parts.push_back(benchgen::generateUnit({.name = "p" + std::to_string(i),
+                                            .family = benchgen::Family::Parity,
+                                            .size_param = size_param,
+                                            .num_targets = num_targets,
+                                            .seed = 900 + i}));
   }
-  const EcoInstance inst = tileUnits(specs, "tiled_parity");
+  const EcoInstance inst = benchgen::tileInstances(parts, "tiled_parity");
 
   std::vector<RunSample> samples;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {

@@ -41,11 +41,14 @@
 //
 // Exit codes: 0 patched+verified, 1 usage/parse error, 2 unrectifiable.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -91,15 +94,21 @@ bool writeTextFile(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-// atoi/atoll silently return 0 on garbage; reject non-numeric input instead.
-std::uint64_t parseU64(const char* s) {
+// atoi/atoll silently return 0 on garbage, and strtoull turns "-1" into
+// ULLONG_MAX; accept only a whole decimal number that fits T, so no value
+// is truncated on its way into an option field.
+template <typename T>
+T parseNumber(const char* s) {
+  const unsigned long long max = std::numeric_limits<T>::max();
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "ecopatch: expected a number, got '%s'\n", s);
+  if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+      errno == ERANGE || v > max) {
+    std::fprintf(stderr, "ecopatch: expected a number in [0, %llu], got '%s'\n", max, s);
     usage();
   }
-  return v;
+  return static_cast<T>(v);
 }
 
 double parseSeconds(const char* s) {
@@ -153,13 +162,13 @@ int main(int argc, char** argv) {
     } else if (a == "--pi-only") {
       opt.pi_candidates_only = true;
     } else if (a == "--watch") {
-      opt.watch_size = static_cast<std::uint32_t>(parseU64(next()));
+      opt.watch_size = parseNumber<std::uint32_t>(next());
     } else if (a == "--rounds") {
-      opt.opt_rounds = static_cast<std::uint32_t>(parseU64(next()));
+      opt.opt_rounds = parseNumber<std::uint32_t>(next());
     } else if (a == "--seed") {
-      opt.seed = parseU64(next());
+      opt.seed = parseNumber<std::uint64_t>(next());
     } else if (a == "--threads") {
-      opt.num_threads = static_cast<std::uint32_t>(parseU64(next()));
+      opt.num_threads = parseNumber<std::uint32_t>(next());
     } else if (a == "--check") {
       opt.check_level = check::Level::kStage;
     } else if (a.rfind("--check=", 0) == 0) {
@@ -175,10 +184,10 @@ int main(int argc, char** argv) {
     } else if (a == "--trace") {
       trace_path = next();
     } else if (a == "--status-fd") {
-      status_fd = static_cast<int>(parseU64(next()));
+      status_fd = parseNumber<int>(next());
     } else if (a == "--metrics-port") {
       serve_metrics = true;
-      metrics_port = static_cast<std::uint16_t>(parseU64(next()));
+      metrics_port = parseNumber<std::uint16_t>(next());
     } else if (a == "--postmortem") {
       postmortem_path = next();
     } else if (a == "--time-budget") {

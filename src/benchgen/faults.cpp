@@ -96,9 +96,8 @@ std::uint32_t pickFlipNode(const Aig& f, Rng& rng) {
   return ands[rng.below(ands.size())];
 }
 
-/// Disjoint tiling: concatenates `parts` into one instance with prefixed
-/// namespaces. Faulty PI layout is all X inputs (tile order) followed by
-/// all targets, as EcoInstance requires.
+}  // namespace
+
 EcoInstance tileInstances(const std::vector<EcoInstance>& parts,
                           const std::string& name) {
   EcoInstance out;
@@ -135,8 +134,6 @@ EcoInstance tileInstances(const std::vector<EcoInstance>& parts,
   }
   return out;
 }
-
-}  // namespace
 
 const char* faultModeName(FaultMode mode) {
   switch (mode) {

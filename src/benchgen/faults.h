@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "benchgen/benchgen.h"
 #include "eco/instance.h"
@@ -70,6 +71,13 @@ struct FuzzInstance {
 
 /// Generates the instance of a spec (deterministic).
 FuzzInstance generateFuzzInstance(const FuzzSpec& spec);
+
+/// Disjoint tiling: concatenates `parts` into one instance. The faulty PIs
+/// are every part's X inputs (part order), then all targets renamed
+/// t0, t1, ... in part order, as EcoInstance requires. PI, PO, internal
+/// signal and weight names get the prefix "u<part>_". Each part keeps its
+/// own output cones, so clustering finds at least one cluster per part.
+EcoInstance tileInstances(const std::vector<EcoInstance>& parts, const std::string& name);
 
 /// Cofactors X input `x_index` of both circuits to `value` and drops the
 /// input. Preserves rectifiability (any patch restricts), PO counts, and

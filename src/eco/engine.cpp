@@ -88,60 +88,59 @@ void assembleResult(const EcoInstance& instance,
   result.size = result.patch.numAnds();
 }
 
-}  // namespace
+/// One engine stage's bookkeeping (DESIGN.md "Observability"): the timed
+/// `eco.<stage>` span, the `engine.stage` label that live status and
+/// postmortems read, and the resource window of the stage's row in
+/// `PatchResult::stage_resources`. `span_name` is "eco.<stage>"; the label
+/// and the row take the name without the "eco." prefix.
+class Stage {
+ public:
+  Stage(const char* span_name, PatchResult& result)
+      : name_(span_name + 4),
+        span_(span_name, obs::Span::Mode::kTimed),
+        scope_("engine.stage", name_),
+        usage0_(obs::currentUsage()),
+        result_(result) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+  /// An early return closes the stage too: every stage that ran has a row.
+  ~Stage() { stop(); }
 
-PatchResult EcoEngine::run(const EcoInstance& instance) const {
-  // Stage accounting runs on obs spans (DESIGN.md "Observability"): each
-  // stage's kTimed span both feeds the Chrome trace (when a session is
-  // recording) and populates the pre-existing PatchResult wall-clock
-  // fields, so the human-readable report needs no separate timers.
-  obs::Span run_span("eco.run", obs::Span::Mode::kTimed);
-  // Live status: "engine.stage" tracks the in-flight stage; nested
-  // ProgressScopes restore the enclosing value, so a postmortem dumped
-  // mid-stage (CheckError, fatal signal, budget) names where the run was.
-  obs::ProgressScope run_scope("engine.stage", "run");
-  const std::uint64_t sat_conflicts0 = obs::counterValue("sat.conflicts");
-  const obs::ResourceUsage run_usage0 = obs::currentUsage();
-  PatchResult result;
-  // Process-wide SAT effort attributed to this run; exact for a single
-  // engine, an upper bound when several engines run concurrently.
-  const auto finishRun = [&] {
-    result.sat_conflicts = obs::counterValue("sat.conflicts") - sat_conflicts0;
-    result.seconds = run_span.stop();
-    const obs::ResourceUsage used = obs::usageSince(run_usage0);
-    result.cpu_seconds = used.cpu_seconds;
-    result.peak_rss_bytes = used.peak_rss_bytes;
-    result.alloc_count = used.alloc_count;
-    result.alloc_bytes = used.alloc_bytes;
-    for (const auto& row : obs::snapshotResources().threads) {
-      result.thread_cpu_seconds.emplace_back(row.name, row.cpu_seconds);
+  void arg(const char* key, std::uint64_t value) { span_.arg(key, value); }
+
+  /// Ends the stage (idempotent): appends its row once and returns its
+  /// wall seconds.
+  double stop() {
+    if (!stopped_) {
+      stopped_ = true;
+      const obs::ResourceUsage d = obs::usageSince(usage0_);
+      result_.stage_resources.push_back({name_, span_.stop(), d.cpu_seconds,
+                                         d.alloc_count, d.alloc_bytes, d.peak_rss_bytes});
     }
-    ECO_OBS_COUNT("eco.runs", 1);
-    // Interned directly (not via ECO_OBS_COUNT): the macro's static
-    // reference would bind to whichever outcome happened first.
-    const char* outcome = result.success ? "eco.runs_ok" : "eco.runs_failed";
-    obs::counter(outcome).add(1);
-    obs::flightRecordCount(outcome, 1);
-  };
-  // Per-stage resource attribution (run report v2): one entry per stage
-  // actually executed, in run order.
-  const auto recordStage = [&](const char* stage,
-                               const obs::ResourceUsage& begin) {
-    const obs::ResourceUsage d = obs::usageSince(begin);
-    StageResource sr;
-    sr.stage = stage;
-    sr.cpu_seconds = d.cpu_seconds;
-    sr.alloc_count = d.alloc_count;
-    sr.alloc_bytes = d.alloc_bytes;
-    sr.peak_rss_bytes = d.peak_rss_bytes;
-    result.stage_resources.push_back(std::move(sr));
-  };
+    return span_.stop();
+  }
+
+ private:
+  const char* name_;
+  obs::Span span_;
+  obs::ProgressScope scope_;
+  obs::ResourceUsage usage0_;
+  PatchResult& result_;
+  bool stopped_ = false;
+};
+
+/// The stage sequence of one run. Returns at the first stage that fails
+/// the run, with `result.success` and `result.message` set; the worker
+/// pool lands in `pool_storage` so that it outlives the stages.
+void runStages(const EcoInstance& instance, const EcoOptions& options,
+               const obs::Span& run_span, std::optional<ThreadPool>& pool_storage,
+               PatchResult& result) {
   // Wall-clock budget, checked at stage boundaries only (a stage in
   // flight is never interrupted, keeping results deterministic for a
   // given budget outcome).
   const auto budgetExhausted = [&](const char* after_stage) -> bool {
-    if (options_.time_budget_seconds <= 0) return false;
-    if (run_span.seconds() < options_.time_budget_seconds) return false;
+    if (options.time_budget_seconds <= 0) return false;
+    if (run_span.seconds() < options.time_budget_seconds) return false;
     result.success = false;
     result.message = std::string("engine time budget exhausted after stage ") +
                      after_stage;
@@ -155,7 +154,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
   // plus the machine-readable report, so the QA harness can catch and
   // shrink it. Paranoid runs additionally arm the process-global solver
   // hook (audits after every clause-arena GC and preprocessing run).
-  const check::Level check_level = options_.check_level;
+  const check::Level check_level = options.check_level;
   if (check_level >= check::Level::kParanoid &&
       check::globalLevel() < check::Level::kParanoid) {
     check::setGlobalLevel(check::Level::kParanoid);
@@ -173,53 +172,39 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
   if (alpha == 0) {
     result.success = false;
     result.message = "instance has no targets";
-    finishRun();
-    return result;
+    return;
   }
 
   // Worker pool for the FRAIG and per-cluster stages. num_threads == 1
   // keeps pool null, which routes every stage through the exact legacy
   // sequential code path.
-  const std::uint32_t num_threads = options_.num_threads == 0
+  const std::uint32_t num_threads = options.num_threads == 0
                                         ? ThreadPool::defaultThreads()
-                                        : options_.num_threads;
-  std::optional<ThreadPool> pool_storage;
+                                        : options.num_threads;
   ThreadPool* pool = nullptr;
-  if (num_threads > 1) {
-    pool_storage.emplace(num_threads);
-    pool = &*pool_storage;
+  Workspace ws;
+  std::vector<TargetCluster> clusters;
+  {
+    Stage stage("eco.setup", result);
+    if (num_threads > 1) pool = &pool_storage.emplace(num_threads);
+    ws = buildWorkspace(instance);
+    clusters = clusterTargets(instance);
   }
   // Report the pool's actual worker count: ThreadPool clamps outlandish
   // requests, and the legacy path is exactly one thread.
   result.num_threads_used = pool != nullptr ? pool->numWorkers() : 1;
-
-  Workspace ws;
-  std::vector<TargetCluster> clusters;
-  {
-    obs::Span s("eco.setup");
-    obs::ProgressScope stage("engine.stage", "setup");
-    const obs::ResourceUsage u0 = obs::currentUsage();
-    ws = buildWorkspace(instance);
-    clusters = clusterTargets(instance);
-    recordStage("setup", u0);
-  }
   result.num_clusters = static_cast<std::uint32_t>(clusters.size());
   ECO_OBS_GAUGE_SET("eco.clusters", result.num_clusters);
 
   if (check_level >= check::Level::kStage) {
-    obs::Span s("eco.audit_setup");
-    obs::ProgressScope stage("engine.stage", "audit_setup");
+    Stage stage("eco.audit_setup", result);
     if (auditFailed(check::auditAig(instance.faulty, "setup.faulty")) ||
         auditFailed(check::auditAig(instance.golden, "setup.golden")) ||
         auditFailed(check::auditAig(ws.w, "setup.workspace"))) {
-      finishRun();
-      return result;
+      return;
     }
   }
-  if (budgetExhausted("setup")) {
-    finishRun();
-    return result;
-  }
+  if (budgetExhausted("setup")) return;
 
   // Outputs no target can influence must already match the golden circuit.
   {
@@ -232,87 +217,66 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
       if (!touched[j]) untouched.push_back(j);
     }
     if (!untouched.empty()) {
-      obs::Span s("eco.verify_untouched", obs::Span::Mode::kTimed);
-      obs::ProgressScope stage("engine.stage", "verify_untouched");
-      const obs::ResourceUsage u0 = obs::currentUsage();
+      Stage stage("eco.verify_untouched", result);
       VerifyOutcome v = verifyUntouchedOutputs(ws, untouched);
-      recordStage("verify_untouched", u0);
-      result.verify_seconds += s.stop();
       if (!v.equivalent) {
         result.success = false;
         result.message =
             "unrectifiable: output " + std::to_string(v.failing_output) +
             " differs from golden but no target reaches it";
         result.counterexample = std::move(v.cex_inputs);
-        finishRun();
-        return result;
+        return;
       }
     }
   }
 
   // FRAIG stage (only needed when localization wants shared signals).
   std::optional<fraig::EquivClasses> classes;
-  if (options_.use_localization) {
-    obs::Span s("eco.fraig", obs::Span::Mode::kTimed);
-    obs::ProgressScope stage("engine.stage", "fraig");
-    const obs::ResourceUsage u0 = obs::currentUsage();
+  if (options.use_localization) {
+    Stage stage("eco.fraig", result);
     std::vector<Lit> roots = ws.f_roots;
     roots.insert(roots.end(), ws.g_roots.begin(), ws.g_roots.end());
     fraig::Options fo;
-    fo.seed = options_.seed;
+    fo.seed = options.seed;
     fo.pool = pool;
     fraig::Stats fstats;
     classes = fraig::computeEquivClasses(ws.w, roots, fo, &fstats);
-    s.arg("sat_queries", fstats.sat_queries);
-    recordStage("fraig", u0);
-    result.fraig_seconds = s.stop();
+    stage.arg("sat_queries", fstats.sat_queries);
     result.fraig_sat_queries = fstats.sat_queries;
     result.fraig_rounds = fstats.rounds;
-    if (check_level >= check::Level::kStage) {
-      obs::Span audit_span("eco.audit_fraig");
-      obs::ProgressScope audit_stage("engine.stage", "audit_fraig");
-      if (auditFailed(check::auditAig(ws.w, "fraig.workspace"))) {
-        finishRun();
-        return result;
-      }
-    }
   }
-  if (budgetExhausted("fraig")) {
-    finishRun();
-    return result;
+  if (options.use_localization && check_level >= check::Level::kStage) {
+    Stage stage("eco.audit_fraig", result);
+    if (auditFailed(check::auditAig(ws.w, "fraig.workspace"))) return;
   }
-
-  std::vector<Candidate> candidates = collectCandidates(instance, ws);
-  if (options_.pi_candidates_only) {
-    candidates.resize(std::min<std::size_t>(candidates.size(), instance.num_x));
-  }
+  if (budgetExhausted("fraig")) return;
 
   // Localization + initial multi-fix patch generation, per cluster.
   // Clusters are independent (each task reads the shared workspace and
   // candidate list, all const, and builds its own local network), so they
   // are dispatched to the pool; results are merged in cluster-index order
   // below so the output is identical regardless of the worker count.
-  obs::Span patchgen_span("eco.patchgen", obs::Span::Mode::kTimed);
-  // optional<> because the stage spans two statement blocks; reset()
-  // closes it exactly where the span stops.
-  std::optional<obs::ProgressScope> patchgen_scope;
-  patchgen_scope.emplace("engine.stage", "patchgen");
-  const obs::ResourceUsage patchgen_usage0 = obs::currentUsage();
+  std::vector<Candidate> candidates;
   std::vector<TargetPatch> patches(alpha);
   {
+    Stage stage("eco.patchgen", result);
+    candidates = collectCandidates(instance, ws);
+    if (options.pi_candidates_only) {
+      candidates.resize(std::min<std::size_t>(candidates.size(), instance.num_x));
+    }
     std::vector<ClusterPatchResult> cluster_results(clusters.size());
     std::vector<std::uint32_t> cluster_cut(clusters.size(), 0);
     const auto runCluster = [&](std::size_t ci) {
       // Per-cluster span: on a multi-worker run these land in the pool
-      // workers' trace rows, the per-thread view of the PR-1 pipeline.
+      // workers' trace rows, the per-thread view of the parallel pipeline.
       obs::Span s("eco.cluster");
       s.arg("cluster", ci);
       const TargetCluster& cluster = clusters[ci];
       LocalNetwork net =
           buildLocalNetwork(instance, ws, cluster, candidates,
-                            options_.use_localization ? &*classes : nullptr);
+                            options.use_localization ? &*classes : nullptr);
       cluster_cut[ci] = static_cast<std::uint32_t>(net.bases.size());
-      cluster_results[ci] = dependentPatchGen(cluster, net, options_);
+      cluster_results[ci] = dependentPatchGen(cluster, net, options);
     };
     if (pool != nullptr) {
       pool->parallelFor(clusters.size(), runCluster);
@@ -327,40 +291,32 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
             std::move(cluster_results[ci].patches[i]);
       }
     }
-  }
-  if (options_.minimize_patches) {
-    // Per-patch minimization is deterministic in isolation (own seed), so
-    // patch order carries no state and the loop parallelizes directly.
-    const auto minimizeOne = [&](std::size_t i) {
-      obs::Span s("eco.minimize_patch");
-      s.arg("target", i);
-      MinimizeOptions mo;
-      mo.seed = options_.seed;
-      patches[i].fn = minimizeAig(patches[i].fn, mo);
-      pruneUnusedInputs(patches[i]);
-    };
-    if (pool != nullptr) {
-      pool->parallelFor(patches.size(), minimizeOne);
-    } else {
-      for (std::size_t i = 0; i < patches.size(); ++i) minimizeOne(i);
+    if (options.minimize_patches) {
+      // Per-patch minimization is deterministic in isolation (own seed), so
+      // patch order carries no state and the loop parallelizes directly.
+      const auto minimizeOne = [&](std::size_t i) {
+        obs::Span s("eco.minimize_patch");
+        s.arg("target", i);
+        MinimizeOptions mo;
+        mo.seed = options.seed;
+        patches[i].fn = minimizeAig(patches[i].fn, mo);
+        pruneUnusedInputs(patches[i]);
+      };
+      if (pool != nullptr) {
+        pool->parallelFor(patches.size(), minimizeOne);
+      } else {
+        for (std::size_t i = 0; i < patches.size(); ++i) minimizeOne(i);
+      }
     }
   }
-  recordStage("patchgen", patchgen_usage0);
-  result.patchgen_seconds = patchgen_span.stop();
-  patchgen_scope.reset();
-  if (budgetExhausted("patchgen")) {
-    finishRun();
-    return result;
-  }
+  if (budgetExhausted("patchgen")) return;
 
   if (check_level >= check::Level::kParanoid) {
-    obs::Span s("eco.audit_patchgen");
-    obs::ProgressScope stage("engine.stage", "audit_patchgen");
+    Stage stage("eco.audit_patchgen", result);
     for (std::uint32_t k = 0; k < alpha; ++k) {
       if (auditFailed(check::auditAig(patches[k].fn,
                                       "patchgen.target" + std::to_string(k)))) {
-        finishRun();
-        return result;
+        return;
       }
     }
   }
@@ -369,19 +325,14 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
   // is complete for this formulation, so failure here means the instance is
   // not rectifiable through the given targets.
   {
-    obs::Span s("eco.verify_initial", obs::Span::Mode::kTimed);
-    obs::ProgressScope stage("engine.stage", "verify_initial");
-    const obs::ResourceUsage u0 = obs::currentUsage();
+    Stage stage("eco.verify_initial", result);
     VerifyOutcome v = verifyPatches(ws, patches);
-    recordStage("verify_initial", u0);
-    result.verify_seconds += s.stop();
     if (!v.equivalent) {
       result.success = false;
       result.message = "unrectifiable: initial patch fails verification at output " +
                        std::to_string(v.failing_output);
       result.counterexample = std::move(v.cex_inputs);
-      finishRun();
-      return result;
+      return;
     }
   }
   assembleResult(instance, candidates, patches, result);
@@ -392,16 +343,13 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
     // correct (just unoptimized) patch; report it as such.
     result.success = true;
     result.message += " (returning unoptimized patch)";
-    finishRun();
-    return result;
+    return;
   }
 
   // Cost optimization (Sec. 6): per-target rebasing with Watch/Hold/CPB
   // base selection, holding the other targets' patches fixed.
-  if (options_.use_cost_opt) {
-    obs::Span opt_span("eco.opt", obs::Span::Mode::kTimed);
-    obs::ProgressScope stage("engine.stage", "opt");
-    const obs::ResourceUsage opt_usage0 = obs::currentUsage();
+  if (options.use_cost_opt) {
+    Stage stage("eco.opt", result);
     // Cheapest-first candidate cap; per-target bases are appended below.
     std::vector<std::uint32_t> cheap_order(candidates.size());
     for (std::uint32_t i = 0; i < candidates.size(); ++i) cheap_order[i] = i;
@@ -412,7 +360,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
                            : a < b;
               });
     cheap_order.resize(
-        std::min<std::size_t>(cheap_order.size(), options_.max_candidates));
+        std::min<std::size_t>(cheap_order.size(), options.max_candidates));
 
     std::unordered_map<std::string, std::uint32_t> candidate_by_name;
     for (std::uint32_t i = 0; i < candidates.size(); ++i) {
@@ -425,7 +373,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
       for (const std::uint32_t t : c.targets) cluster_of[t] = &c;
     }
 
-    for (std::uint32_t round = 0; round < options_.opt_rounds; ++round) {
+    for (std::uint32_t round = 0; round < options.opt_rounds; ++round) {
       ECO_OBS_GAUGE_SET("eco.opt_round", round + 1);
       bool improved = false;
       for (std::uint32_t k = 0; k < alpha; ++k) {
@@ -463,7 +411,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
 
         // Signals other targets already pay for are free here.
         std::unordered_set<std::string> shared_names;
-        if (options_.account_shared_bases) {
+        if (options.account_shared_bases) {
           for (std::uint32_t j = 0; j < alpha; ++j) {
             if (j == k) continue;
             for (const Candidate& in : patches[j].inputs) {
@@ -495,7 +443,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
         if (!oracle.feasible(initial)) continue;  // defensive
 
         const BaseSelection sel =
-            selectBase(oracle, eff_weight, initial, options_);
+            selectBase(oracle, eff_weight, initial, options);
 
         double old_cost = 0;
         for (const std::uint32_t i : initial) old_cost += eff_weight[i];
@@ -503,7 +451,7 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
         if (sel.cost > old_cost) continue;
 
         auto synth = synthesizeOverBase(ws, oo.on, oo.off, cand_k, sel.base,
-                                        options_.itp_conflict_budget);
+                                        kItpConflictBudget);
         if (!synth) continue;
         const std::uint32_t new_size = synth->numAnds();
         if (sel.cost == old_cost && new_size >= old_size) continue;
@@ -512,9 +460,9 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
         np.target = k;
         np.fn = std::move(*synth);
         for (const std::uint32_t i : sel.base) np.inputs.push_back(cand_k[i]);
-        if (options_.minimize_patches) {
+        if (options.minimize_patches) {
           MinimizeOptions mo;
-          mo.seed = options_.seed;
+          mo.seed = options.seed;
           np.fn = minimizeAig(np.fn, mo);
         }
         pruneUnusedInputs(np);
@@ -523,22 +471,15 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
       }
       if (!improved) break;
     }
-    recordStage("opt", opt_usage0);
-    result.opt_seconds = opt_span.stop();
-    if (check_level >= check::Level::kStage) {
-      obs::Span s("eco.audit_opt");
-      obs::ProgressScope audit_stage("engine.stage", "audit_opt");
-      if (auditFailed(check::auditAig(ws.w, "opt.workspace"))) {
-        finishRun();
-        return result;
-      }
-      if (check_level >= check::Level::kParanoid) {
-        for (std::uint32_t k = 0; k < alpha; ++k) {
-          if (auditFailed(check::auditAig(patches[k].fn,
-                                          "opt.target" + std::to_string(k)))) {
-            finishRun();
-            return result;
-          }
+  }
+  if (options.use_cost_opt && check_level >= check::Level::kStage) {
+    Stage stage("eco.audit_opt", result);
+    if (auditFailed(check::auditAig(ws.w, "opt.workspace"))) return;
+    if (check_level >= check::Level::kParanoid) {
+      for (std::uint32_t k = 0; k < alpha; ++k) {
+        if (auditFailed(check::auditAig(patches[k].fn,
+                                        "opt.target" + std::to_string(k)))) {
+          return;
         }
       }
     }
@@ -550,20 +491,15 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
   // result (message prefixed "internal error") rather than aborting, so the
   // QA harness can catch, log, and shrink it.
   {
-    obs::Span s("eco.verify_final", obs::Span::Mode::kTimed);
-    obs::ProgressScope stage("engine.stage", "verify_final");
-    const obs::ResourceUsage u0 = obs::currentUsage();
+    Stage stage("eco.verify_final", result);
     VerifyOutcome v = verifyPatches(ws, patches);
-    recordStage("verify_final", u0);
-    result.verify_seconds += s.stop();
     if (!v.equivalent) {
       result.success = false;
       result.message =
           "internal error: optimized patch failed verification at output " +
           std::to_string(v.failing_output);
       result.counterexample = std::move(v.cex_inputs);
-      finishRun();
-      return result;
+      return;
     }
   }
   assembleResult(instance, candidates, patches, result);
@@ -573,17 +509,54 @@ PatchResult EcoEngine::run(const EcoInstance& instance) const {
   // Final contract gate: the assembled result must satisfy the patch/engine
   // contract before it is handed out as a success.
   if (check_level >= check::Level::kStage) {
-    obs::Span s("eco.audit_final");
-    obs::ProgressScope stage("engine.stage", "audit_final");
+    Stage stage("eco.audit_final", result);
     check::PatchAuditOptions pao;
-    pao.require_pruned_inputs = options_.minimize_patches;
-    if (auditFailed(
-            check::auditPatchContract(instance, result, pao, "final.patch"))) {
-      finishRun();
-      return result;
-    }
+    pao.require_pruned_inputs = options.minimize_patches;
+    auditFailed(check::auditPatchContract(instance, result, pao, "final.patch"));
   }
-  finishRun();
+}
+
+}  // namespace
+
+PatchResult EcoEngine::run(const EcoInstance& instance) const {
+  // Every stage is a Stage: its timed span feeds the Chrome trace (when a
+  // session is recording) and its row in `stage_resources`, from which the
+  // PatchResult stage times are filled below.
+  obs::Span run_span("eco.run", obs::Span::Mode::kTimed);
+  // Live status: "engine.stage" tracks the in-flight stage; nested
+  // ProgressScopes restore the enclosing value, so a postmortem dumped
+  // mid-stage (CheckError, fatal signal, budget) names where the run was.
+  obs::ProgressScope run_scope("engine.stage", "run");
+  const std::uint64_t sat_conflicts0 = obs::counterValue("sat.conflicts");
+  const obs::ResourceUsage run_usage0 = obs::currentUsage();
+  PatchResult result;
+  std::optional<ThreadPool> pool;  // alive for the per-thread rows below
+  runStages(instance, options_, run_span, pool, result);
+
+  // Process-wide SAT effort attributed to this run; exact for a single
+  // engine, an upper bound when several engines run concurrently.
+  result.sat_conflicts = obs::counterValue("sat.conflicts") - sat_conflicts0;
+  result.seconds = run_span.stop();
+  const obs::ResourceUsage used = obs::usageSince(run_usage0);
+  result.cpu_seconds = used.cpu_seconds;
+  result.peak_rss_bytes = used.peak_rss_bytes;
+  result.alloc_count = used.alloc_count;
+  result.alloc_bytes = used.alloc_bytes;
+  for (const auto& row : obs::snapshotResources().threads) {
+    result.thread_cpu_seconds.emplace_back(row.name, row.cpu_seconds);
+  }
+  for (const StageResource& row : result.stage_resources) {
+    if (row.stage == "fraig") result.fraig_seconds = row.seconds;
+    if (row.stage == "patchgen") result.patchgen_seconds = row.seconds;
+    if (row.stage == "opt") result.opt_seconds = row.seconds;
+    if (row.stage.starts_with("verify_")) result.verify_seconds += row.seconds;
+  }
+  ECO_OBS_COUNT("eco.runs", 1);
+  // Interned directly (not via ECO_OBS_COUNT): the macro's static
+  // reference would bind to whichever outcome happened first.
+  const char* outcome = result.success ? "eco.runs_ok" : "eco.runs_failed";
+  obs::counter(outcome).add(1);
+  obs::flightRecordCount(outcome, 1);
   return result;
 }
 

@@ -56,13 +56,14 @@ struct BaseRef {
   bool inverted = false;
 };
 
-/// Resource delta attributed to one engine stage (run report v2). CPU
-/// and allocation figures are process-wide deltas over the stage window
+/// One row of the per-stage table (run report v2): wall seconds, plus CPU
+/// and allocation deltas that are process-wide over the stage window
 /// (exact for a single engine, an upper bound with concurrent engines);
 /// peak_rss_bytes is the monotonic process high-water mark observed at
 /// stage end.
 struct StageResource {
   std::string stage;
+  double seconds = 0;
   double cpu_seconds = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
@@ -97,20 +98,22 @@ struct PatchResult {
   std::uint32_t itp_failures = 0;  ///< Sec. 4.3 interpolation fallbacks
   std::uint64_t sat_conflicts = 0;
 
-  // Per-stage wall-clock and solver-call counters (see DESIGN.md,
-  // "Parallel architecture"). The stage times sum to roughly `seconds`.
+  // Per-stage wall-clock, copied from the `stage_resources` rows (0 for a
+  // stage that did not run), and FRAIG solver-call counters.
   std::uint32_t num_threads_used = 1;   ///< resolved worker count of the run
   double fraig_seconds = 0;             ///< FRAIG sweeping stage
-  double patchgen_seconds = 0;          ///< localization + per-cluster patchgen
+  double patchgen_seconds = 0;          ///< localization + patchgen + minimization
   double opt_seconds = 0;               ///< Sec. 6 cost optimization
-  double verify_seconds = 0;            ///< SAT verification gates
+  double verify_seconds = 0;            ///< sum of the three verify_* rows
   std::uint64_t fraig_sat_queries = 0;  ///< solve() calls in the FRAIG stage
   std::uint32_t fraig_rounds = 0;       ///< FRAIG refinement rounds
 
-  // Resource attribution (run report v2 "resources" section). Filled at
-  // the end of run(); alloc counters are 0 when the obs allocation hook
-  // is compiled out (sanitizers, ECO_OBS_DISABLED).
-  std::vector<StageResource> stage_resources;  ///< stage entry order = run order
+  // Resource attribution (run report v2 "resources" section); alloc
+  // counters are 0 when the obs allocation hook is compiled out
+  // (sanitizers, ECO_OBS_DISABLED). One disjoint row per stage that ran,
+  // in run order; a run of 50 ms or more has at most max(5% of
+  // `seconds`, 2 ms) outside them (DESIGN.md "Observability").
+  std::vector<StageResource> stage_resources;
   std::uint64_t peak_rss_bytes = 0;            ///< process peak at run end
   double cpu_seconds = 0;                      ///< process CPU over the run
   std::uint64_t alloc_count = 0;               ///< operator new calls in the run
@@ -119,6 +122,10 @@ struct PatchResult {
   /// "pool-0", ...) — the pool is still alive at capture time.
   std::vector<std::pair<std::string, double>> thread_cpu_seconds;
 };
+
+/// Conflict budget of the interpolation solves in patch generation
+/// (Sec. 4.3) and in synthesizeOverBase (cost optimization).
+inline constexpr std::int64_t kItpConflictBudget = 200000;
 
 struct EcoOptions {
   bool use_localization = true;  ///< Sec. 5 cut-based re-expression
@@ -132,7 +139,6 @@ struct EcoOptions {
   /// Cap on candidates whose counterexamples are enumerated per Watch round
   /// (Sec. 6.2 Step 2); bounds the dominant SAT cost of base selection.
   std::uint32_t max_step2_candidates = 48;
-  std::int64_t itp_conflict_budget = 200000;
   /// When the working cones of Algorithm 1 exceed this many AND nodes, a
   /// FRAIG reduction pass (compressCones) collapses proven-equivalent
   /// structure; damps the growth of iterated on-set substitution.

@@ -45,7 +45,7 @@ Lit synthesizePatch(LocalNetwork& net, const OnOffSets& oo,
   const sat::SLit off = cnf::encodeCone(net.v, oo.off, map_b, job.sinkB());
   job.addClauseB({off});
 
-  const sat::Status status = job.solve(options.itp_conflict_budget);
+  const sat::Status status = job.solve(kItpConflictBudget);
   if (status != sat::Status::Unsat) {
     // Satisfiable (or budgeted out): interpolation is not applicable here.
     *itp_failed = true;

@@ -120,6 +120,7 @@ std::string writeJsonReport(const EcoInstance& instance, const PatchResult& r,
   for (const StageResource& sr : r.stage_resources) {
     w.beginObject();
     w.key("stage"); w.value(sr.stage);
+    w.key("seconds"); w.valueFixed(sr.seconds, 6);
     w.key("cpu_seconds"); w.valueFixed(sr.cpu_seconds, 6);
     w.key("alloc_count"); w.value(sr.alloc_count);
     w.key("alloc_bytes"); w.value(sr.alloc_bytes);

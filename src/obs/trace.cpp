@@ -67,7 +67,10 @@ std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_dropped{0};
 std::uint64_t g_session_start_ns = 0;  ///< guarded by Registry::mutex
 
+/// A thread gets its (never freed) buffer on its first event; until then
+/// setThreadName only keeps the name here.
 thread_local ThreadBuffer* t_buffer = nullptr;
+thread_local std::string t_name;
 
 ThreadBuffer& localBuffer() {
   if (t_buffer == nullptr) {
@@ -75,6 +78,7 @@ ThreadBuffer& localBuffer() {
     std::lock_guard<std::mutex> lock(reg.mutex);
     auto buf =
         std::make_unique<ThreadBuffer>(static_cast<std::uint32_t>(reg.buffers.size()));
+    buf->name = t_name;
     t_buffer = buf.get();
     reg.buffers.push_back(std::move(buf));
   }
@@ -164,9 +168,11 @@ TraceDump stopTrace() {
 void setThreadName(std::string name) {
 #if ECO_OBS_ENABLED
   flightSetThreadName(name);
-  ThreadBuffer& b = localBuffer();
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  b.name = std::move(name);
+  if (t_buffer != nullptr) {
+    std::lock_guard<std::mutex> lock(registry().mutex);
+    t_buffer->name = name;
+  }
+  t_name = std::move(name);
 #else
   (void)name;
 #endif

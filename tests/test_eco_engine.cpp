@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -272,6 +273,42 @@ INSTANTIATE_TEST_SUITE_P(
         sweep(benchgen::Family::Multiplier, 3, 1, 13, true, true, true),
         sweep(benchgen::Family::PriorityEnc, 8, 2, 14, true, true, false),
         sweep(benchgen::Family::PriorityEnc, 8, 3, 15, false, true, false)));
+
+// The stage table: every stage that ran has a row, the rows are disjoint
+// and leave only the glue between stages uncovered, and the PatchResult
+// stage times are copies of the rows.
+TEST(EcoEngine, StageTableCoversTheRun) {
+  const benchgen::UnitSpec spec = benchgen::contestSuite()[10];
+  ASSERT_EQ(spec.name, "unit11");
+  const PatchResult r = EcoEngine().run(benchgen::generateUnit(spec));
+  ASSERT_TRUE(r.success) << r.message;
+  ASSERT_GE(r.seconds, 0.05) << "the coverage bound needs a run of 50 ms";
+
+  double covered = 0;
+  double verify = 0;
+  for (const StageResource& row : r.stage_resources) {
+    EXPECT_GE(row.seconds, 0.0) << row.stage;
+    covered += row.seconds;
+    if (row.stage.starts_with("verify_")) verify += row.seconds;
+  }
+  EXPECT_LE(covered, r.seconds);
+  EXPECT_LE(r.seconds - covered, std::max(0.05 * r.seconds, 0.002));
+
+  const auto rowSeconds = [&](const char* stage) {
+    for (const StageResource& row : r.stage_resources) {
+      if (row.stage == stage) return row.seconds;
+    }
+    ADD_FAILURE() << "no row for stage " << stage;
+    return -1.0;
+  };
+  EXPECT_EQ(r.stage_resources.front().stage, "setup");
+  EXPECT_EQ(r.fraig_seconds, rowSeconds("fraig"));
+  EXPECT_EQ(r.patchgen_seconds, rowSeconds("patchgen"));
+  EXPECT_EQ(r.opt_seconds, rowSeconds("opt"));
+  EXPECT_GT(rowSeconds("verify_initial"), 0.0);
+  EXPECT_GT(rowSeconds("verify_final"), 0.0);
+  EXPECT_EQ(r.verify_seconds, verify);
+}
 
 // Randomized multi-seed robustness: many generated instances, all engines.
 class EngineSeeds : public ::testing::TestWithParam<std::uint64_t> {};

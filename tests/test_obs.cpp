@@ -233,6 +233,10 @@ TEST(Trace, SessionCapturesNestedSpansAcrossPoolWorkers) {
       Span worker("test.worker");
       worker.arg("i", i);
     });
+    // The caller of parallelFor may run every iteration itself, and a
+    // thread is named in the dump only once it records an event; a
+    // submitted task always runs on a worker.
+    pool.submit([] { Span s("test.submitted"); }).get();
   }
   const TraceDump dump = stopTrace();
 
@@ -279,7 +283,7 @@ TEST(Trace, SessionCapturesNestedSpansAcrossPoolWorkers) {
     last_ts[e.tid] = e.ts_ns;
   }
 
-  // Worker threads registered their names.
+  // Threads that recorded events carry their names.
   bool main_named = false, pool_named = false;
   for (const auto& [tid, name] : dump.thread_names) {
     if (name == "gtest-main") main_named = true;
@@ -338,6 +342,24 @@ TEST(Trace, SecondSessionDoesNotReplayOldEvents) {
   const TraceDump dump = stopTrace();
   for (const TraceEvent& e : dump.events) {
     EXPECT_STRNE(e.name, "test.first_session");
+  }
+}
+
+TEST(Trace, NamedThreadsWithoutEventsTakeNoBuffer) {
+  // Threads that name themselves but never emit (idle pool workers,
+  // untraced runs) must not leave a buffer in the never-freed registry.
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 32; ++i) {
+    threads.emplace_back([i] { setThreadName("idle-" + std::to_string(i)); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  startTrace();
+  { Span s("test.after_idle"); }
+  const TraceDump dump = stopTrace();
+  ASSERT_FALSE(dump.events.empty());
+  for (const auto& [tid, name] : dump.thread_names) {
+    EXPECT_NE(name.rfind("idle-", 0), 0u) << name;
   }
 }
 

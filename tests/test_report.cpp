@@ -213,6 +213,8 @@ TEST(ReportJson, V2ReportCarriesResourceAttribution) {
   ASSERT_FALSE(stages->array.empty());
   EXPECT_EQ(stages->array.front().find("stage")->string, "setup");
   for (const obs::json::Value& s : stages->array) {
+    ASSERT_NE(s.find("seconds"), nullptr);
+    EXPECT_GE(s.find("seconds")->number, 0.0);
     EXPECT_GE(s.find("cpu_seconds")->number, 0.0);
     ASSERT_NE(s.find("peak_rss_bytes"), nullptr);
   }
