@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "aig/aig_ops.h"
 #include "aig/minimize.h"
 #include "base/check.h"
 #include "base/thread_pool.h"
@@ -128,6 +129,20 @@ class Stage {
   PatchResult& result_;
   bool stopped_ = false;
 };
+
+/// Indices 0..n-1 in descending order of `work(i)`, ties in index order.
+/// ThreadPool::parallelFor claims indices in order, so walking this
+/// permutation starts the largest items first and no large item is left to
+/// run alone at the end of a stage.
+template <typename Work>
+std::vector<std::size_t> largestFirst(std::size_t n, Work work) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return work(a) > work(b);
+  });
+  return order;
+}
 
 /// The stage sequence of one run. Returns at the first stage that fails
 /// the run, with `result.success` and `result.message` set; the worker
@@ -279,7 +294,21 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
       cluster_results[ci] = dependentPatchGen(cluster, net, options);
     };
     if (pool != nullptr) {
-      pool->parallelFor(clusters.size(), runCluster);
+      // Work estimate from the instance alone: target count, then the
+      // AND count of the cluster's faulty and golden output cones.
+      std::vector<std::pair<std::size_t, std::uint32_t>> work;
+      for (const TargetCluster& c : clusters) {
+        std::vector<Lit> roots;
+        for (const std::uint32_t j : c.outputs) {
+          roots.push_back(ws.f_roots[j]);
+          roots.push_back(ws.g_roots[j]);
+        }
+        work.emplace_back(c.targets.size(), coneAndCount(ws.w, roots));
+      }
+      const std::vector<std::size_t> order =
+          largestFirst(clusters.size(), [&](std::size_t ci) { return work[ci]; });
+      pool->parallelFor(order.size(),
+                        [&](std::size_t i) { runCluster(order[i]); });
     } else {
       for (std::size_t ci = 0; ci < clusters.size(); ++ci) runCluster(ci);
     }
@@ -303,7 +332,10 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
         pruneUnusedInputs(patches[i]);
       };
       if (pool != nullptr) {
-        pool->parallelFor(patches.size(), minimizeOne);
+        const std::vector<std::size_t> order = largestFirst(
+            patches.size(), [&](std::size_t i) { return patches[i].fn.numAnds(); });
+        pool->parallelFor(order.size(),
+                          [&](std::size_t i) { minimizeOne(order[i]); });
       } else {
         for (std::size_t i = 0; i < patches.size(); ++i) minimizeOne(i);
       }

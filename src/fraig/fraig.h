@@ -40,7 +40,8 @@ struct Options {
   ThreadPool* pool = nullptr;
 };
 
-/// Counters filled by computeEquivClasses (per call, not cumulative).
+/// Counters filled by computeEquivClasses and compressCones (per call, not
+/// cumulative).
 struct Stats {
   std::uint64_t sat_queries = 0;     ///< individual solve() calls issued
   std::uint32_t rounds = 0;          ///< refinement rounds executed
@@ -80,12 +81,22 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
                                  const Options& options = {},
                                  Stats* stats = nullptr);
 
-/// Functionally reduces the cones of `roots`: every node proven equivalent
-/// to an (earlier, hence typically smaller) class representative is rebuilt
-/// on top of that representative. Returns the rebuilt root literals in the
-/// same graph. This is the classical FRAIG reduction; the ECO engine uses
-/// it to damp the cone growth of Algorithm 1's iterated substitutions.
+/// Functionally reduces the cones of `roots` as an on-the-fly FRAIG: one
+/// topological walk rebuilds every node with Aig::addAnd over its fanins'
+/// reduced literals, so merges that have become structural are caught by
+/// strashing. A new reduced node is simulated from its fanins and looked
+/// up among the class representatives (the first reduced node of each
+/// simulation class, the constant and the PIs included); on a match it is
+/// SAT-checked against that representative alone, on one incremental
+/// solver encoded over the reduced graph. Unsat merges it, a budget-out
+/// keeps it unmerged, and a model becomes a new pattern bit before the
+/// lookup is repeated. Returns the rebuilt root literals in the same
+/// graph; `stats`, when non-null, receives this call's work counters
+/// (`rounds` stays 0). The ECO engine uses this to damp the cone growth of
+/// Algorithm 1's iterated substitutions. `options.pool` and
+/// `options.max_rounds` are ignored.
 std::vector<Lit> compressCones(Aig& aig, std::span<const Lit> roots,
-                               const Options& options = {});
+                               const Options& options = {},
+                               Stats* stats = nullptr);
 
 }  // namespace eco::fraig

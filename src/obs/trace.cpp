@@ -35,8 +35,8 @@ struct Chunk {
   std::array<TraceEvent, kCap> events;
 };
 
-/// Spans a long fuzz sweep can record per thread before dropping; bounds
-/// trace memory to ~96 MB/thread worst case (48 B/event x 2M).
+/// Spans one thread can record per session before dropping; bounds trace
+/// memory to ~96 MB/thread worst case (48 B/event x 2M).
 constexpr std::uint64_t kMaxEventsPerThread = 2u << 20;
 
 struct ThreadBuffer {
@@ -45,7 +45,8 @@ struct ThreadBuffer {
   const std::uint32_t tid;
   // Writer-private fields (owner thread only).
   Chunk* open = nullptr;
-  std::uint64_t total = 0;
+  std::uint64_t total = 0;    ///< events of session `session`
+  std::uint64_t session = 0;  ///< session of the buffered events
   // Shared fields, guarded by Registry::mutex.
   std::vector<std::unique_ptr<Chunk>> chunks;
   std::string name;
@@ -66,6 +67,8 @@ Registry& registry() {
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_dropped{0};
 std::uint64_t g_session_start_ns = 0;  ///< guarded by Registry::mutex
+/// Sessions opened so far; the current one while recording.
+std::atomic<std::uint64_t> g_session{0};
 
 /// A thread gets its (never freed) buffer on its first event; until then
 /// setThreadName only keeps the name here.
@@ -88,6 +91,16 @@ ThreadBuffer& localBuffer() {
 void emitEvent(const char* name, const char* arg_name, std::uint64_t arg_value,
                std::uint64_t ts_ns, std::uint64_t dur_ns) {
   ThreadBuffer& b = localBuffer();
+  const std::uint64_t session = g_session.load();
+  if (b.session != session) {
+    // First event of a new session: the chunks hold only events of earlier
+    // sessions, which stopTrace already drained or skips.
+    std::lock_guard<std::mutex> lock(registry().mutex);
+    b.chunks.clear();
+    b.open = nullptr;
+    b.total = 0;
+    b.session = session;
+  }
   if (b.total >= kMaxEventsPerThread) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -127,6 +140,7 @@ void startTrace() {
   std::lock_guard<std::mutex> lock(reg.mutex);
   if (g_enabled.load(std::memory_order_relaxed)) return;
   g_session_start_ns = nowNs();
+  g_session.fetch_add(1);
   g_enabled.store(true, std::memory_order_release);
 #endif
 }
@@ -163,6 +177,20 @@ TraceDump stopTrace() {
             });
 #endif
   return dump;
+}
+
+std::uint64_t bufferedTraceEvents() {
+  std::uint64_t n = 0;
+#if ECO_OBS_ENABLED
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  for (const auto& buf : reg.buffers) {
+    for (const auto& chunk : buf->chunks) {
+      n += chunk->count.load(std::memory_order_acquire);
+    }
+  }
+#endif
+  return n;
 }
 
 void setThreadName(std::string name) {

@@ -9,7 +9,9 @@
 // mutex only on chunk rollover / first event per thread). Events carry
 // absolute steady-clock timestamps; a session is the [startTrace,
 // stopTrace) time window and stopTrace() drains every thread's buffer,
-// keeping the events that fall inside the window. Spans nest by scope:
+// keeping the events that fall inside the window. A thread's first event
+// in a new session frees its chunks of earlier sessions and restarts its
+// per-session event cap. Spans nest by scope:
 // Perfetto reconstructs the hierarchy per thread from the (ts, dur)
 // containment of complete ("X") events, which RAII scoping guarantees.
 //
@@ -60,6 +62,11 @@ void startTrace();
 /// it. Spans still open on other threads when stop is called are lost
 /// (best effort); returns an empty dump when no session was open.
 TraceDump stopTrace();
+
+/// Events the registry holds over all threads. A thread's events of
+/// earlier sessions count until its first event in a later session frees
+/// them.
+std::uint64_t bufferedTraceEvents();
 
 /// Names the calling thread in trace exports ("main", "pool-3", ...).
 /// The thread-pool workers register themselves; call this from other

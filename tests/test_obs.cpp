@@ -345,6 +345,25 @@ TEST(Trace, SecondSessionDoesNotReplayOldEvents) {
   }
 }
 
+TEST(Trace, NewSessionFreesEarlierSessionEvents) {
+  startTrace();
+  for (int i = 0; i < 10000; ++i) Span s("test.bulk_session");
+  const TraceDump first = stopTrace();
+  EXPECT_EQ(first.events.size(), 10000u);
+  const std::uint64_t held = bufferedTraceEvents();
+  ASSERT_GE(held, 10000u);
+
+  // This thread's first event of the next session frees its 10,000 old
+  // events; no other thread emits meanwhile.
+  startTrace();
+  { Span s("test.small_session"); }
+  const TraceDump second = stopTrace();
+  ASSERT_EQ(second.events.size(), 1u);
+  EXPECT_STREQ(second.events[0].name, "test.small_session");
+  EXPECT_EQ(second.dropped_events, 0u);
+  EXPECT_LE(bufferedTraceEvents(), held - 10000 + 1);
+}
+
 TEST(Trace, NamedThreadsWithoutEventsTakeNoBuffer) {
   // Threads that name themselves but never emit (idle pool workers,
   // untraced runs) must not leave a buffer in the never-freed registry.

@@ -1,6 +1,8 @@
 // Tests for bit-parallel simulation and FRAIG equivalence classes.
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +157,157 @@ TEST(Fraig, TopologicalSweepReusesFaninProofs) {
   EXPECT_EQ(classes.normalize(a), classes.normalize(b));
   EXPECT_GT(stats.sat_queries, 0u);
   EXPECT_LE(stats.sat_conflicts, 800u);
+}
+
+// ------------------------------------------------------- compressCones --
+
+// XOR realized as !((a & b) | (!a & !b)), which does not strash onto mkXor.
+Lit altXor(Aig& aig, Lit a, Lit b) {
+  return !aig.mkOr(aig.addAnd(a, b), aig.addAnd(!a, !b));
+}
+
+// Two parity functions of `x`: a left-to-right mkXor chain and a balanced
+// tree of altXor gates. They share no gate.
+std::pair<Lit, Lit> twoParityTrees(Aig& aig, std::span<const Lit> x) {
+  Lit chain = x[0];
+  for (std::size_t i = 1; i < x.size(); ++i) chain = aig.mkXor(chain, x[i]);
+  std::vector<Lit> level(x.begin(), x.end());
+  while (level.size() > 1) {
+    std::vector<Lit> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(altXor(aig, level[i], level[i + 1]));
+    }
+    if (level.size() % 2 != 0) next.push_back(level.back());
+    level = std::move(next);
+  }
+  return {chain, level[0]};
+}
+
+// A random AIG over `n_pis` PIs whose gates draw fanins from a small
+// pool, so the cones hold many equivalent and constant nodes.
+std::vector<Lit> randomRedundantAig(Aig& aig, std::uint64_t seed,
+                                    std::uint32_t n_pis) {
+  Rng rng(seed);
+  std::vector<Lit> pool;
+  for (std::uint32_t i = 0; i < n_pis; ++i) {
+    pool.push_back(aig.addPi("x" + std::to_string(i)));
+  }
+  for (int i = 0; i < 300; ++i) {
+    const Lit x = pool[rng.below(pool.size())] ^ rng.chance(1, 2);
+    const Lit y = pool[rng.below(pool.size())] ^ rng.chance(1, 2);
+    // Alternate realizations of AND, OR and XOR over the same fanins.
+    switch (rng.below(3)) {
+      case 0: pool.push_back(aig.addAnd(x, y)); break;
+      case 1: pool.push_back(aig.mkXor(x, y)); break;
+      default: pool.push_back(altXor(aig, x, y)); break;
+    }
+  }
+  std::vector<Lit> roots;
+  for (int i = 0; i < 12; ++i) roots.push_back(pool[pool.size() - 1 - 7 * i]);
+  return roots;
+}
+
+// Root values of `aig` under every assignment of its PIs (<= 12 of them).
+std::vector<std::vector<bool>> truthTables(const Aig& aig,
+                                           std::span<const Lit> roots) {
+  std::vector<std::vector<bool>> tables(roots.size());
+  const std::uint32_t n = aig.numPis();
+  for (std::uint32_t m = 0; m < (1u << n); ++m) {
+    std::vector<bool> value(aig.numNodes(), false);
+    for (std::uint32_t v = 1; v < aig.numNodes(); ++v) {
+      if (aig.isPi(v)) {
+        value[v] = (m >> aig.piIndex(v)) & 1;
+      } else {
+        const Lit f0 = aig.fanin0(v);
+        const Lit f1 = aig.fanin1(v);
+        value[v] = (value[f0.var()] ^ f0.complemented()) &&
+                   (value[f1.var()] ^ f1.complemented());
+      }
+    }
+    for (std::size_t r = 0; r < roots.size(); ++r) {
+      tables[r].push_back(value[roots[r].var()] ^ roots[r].complemented());
+    }
+  }
+  return tables;
+}
+
+TEST(Compress, DifferentlyAssociatedParityTreesCollapse) {
+  Aig aig;
+  std::vector<Lit> x;
+  for (int i = 0; i < 10; ++i) x.push_back(aig.addPi("x" + std::to_string(i)));
+  const auto [chain, tree] = twoParityTrees(aig, x);
+  ASSERT_NE(chain, tree);
+  const std::vector<Lit> roots{chain, tree};
+  fraig::Stats stats;
+  const std::vector<Lit> out = fraig::compressCones(aig, roots, {}, &stats);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_GT(stats.sat_queries, 0u);
+  EXPECT_LE(coneAndCount(aig, out), coneAndCount(aig, roots));
+}
+
+class CompressRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompressRandom, RootsKeepTheirFunctions) {
+  Aig aig;
+  const std::vector<Lit> roots = randomRedundantAig(aig, GetParam(), 10);
+  const auto before = truthTables(aig, roots);
+  fraig::Options options;
+  options.seed = GetParam();
+  const std::vector<Lit> out = fraig::compressCones(aig, roots, options);
+  EXPECT_EQ(truthTables(aig, out), before);
+  EXPECT_LT(coneAndCount(aig, out), coneAndCount(aig, roots));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CompressRandom,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(Compress, ZeroBudgetKeepsAbandonedNodes) {
+  Aig aig;
+  std::vector<Lit> x;
+  for (int i = 0; i < 10; ++i) x.push_back(aig.addPi("x" + std::to_string(i)));
+  const auto [chain, tree] = twoParityTrees(aig, x);
+  const std::vector<Lit> roots{chain, tree};
+  const std::uint32_t nodes = aig.numNodes();
+  fraig::Options options;
+  options.conflict_budget = 0;
+  fraig::Stats stats;
+  const std::vector<Lit> out = fraig::compressCones(aig, roots, options, &stats);
+  EXPECT_GT(stats.sat_queries, 0u);
+  EXPECT_EQ(out, roots);
+  EXPECT_EQ(aig.numNodes(), nodes);
+}
+
+TEST(Compress, CopiesOfOneGraphGiveIdenticalLiterals) {
+  Aig first;
+  const std::vector<Lit> roots = randomRedundantAig(first, 11, 12);
+  Aig second = first;
+  const std::vector<Lit> a = fraig::compressCones(first, roots);
+  const std::vector<Lit> b = fraig::compressCones(second, roots);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(first.numNodes(), second.numNodes());
+}
+
+// The two 64-stage parity chains of TopologicalSweepReusesFaninProofs.
+// Once stage i-1 has merged, stage i's miter is over the same two fanin
+// literals, so each stage needs two queries of a few conflicts each (252
+// conflicts in all, against about 400 for the class sweep).
+TEST(Compress, ParityChainsMergeStageByStage) {
+  Aig aig;
+  std::vector<Lit> x;
+  for (int i = 0; i < 64; ++i) x.push_back(aig.addPi("x" + std::to_string(i)));
+  Lit a = x[0];
+  Lit b = x[0];
+  for (int i = 1; i < 64; ++i) {
+    a = aig.mkXor(a, x[i]);
+    b = altXor(aig, b, x[i]);
+  }
+  const std::vector<Lit> roots{a, b};
+  fraig::Stats stats;
+  const std::vector<Lit> out = fraig::compressCones(aig, roots, {}, &stats);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_EQ(coneAndCount(aig, out), 3u * 63);
+  EXPECT_LE(stats.sat_queries, 2u * 63);
+  EXPECT_LE(stats.sat_conflicts, 5u * 63);
 }
 
 // Property: on random AIGs, every merge FRAIG reports is a true functional
