@@ -190,7 +190,7 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
     return;
   }
 
-  // Worker pool for the FRAIG and per-cluster stages. num_threads == 1
+  // Worker pool for the per-cluster and per-patch stages. num_threads == 1
   // keeps pool null, which routes every stage through the exact legacy
   // sequential code path.
   const std::uint32_t num_threads = options.num_threads == 0
@@ -221,7 +221,28 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
   }
   if (budgetExhausted("setup")) return;
 
+  // FRAIG stage (only needed when localization wants shared signals).
+  std::optional<fraig::EquivClasses> classes;
+  if (options.use_localization) {
+    Stage stage("eco.fraig", result);
+    std::vector<Lit> roots = ws.f_roots;
+    roots.insert(roots.end(), ws.g_roots.begin(), ws.g_roots.end());
+    fraig::Options fo;
+    fo.seed = options.seed;
+    fraig::Stats fstats;
+    classes = fraig::computeEquivClasses(ws.w, roots, fo, &fstats);
+    stage.arg("sat_queries", fstats.sat_queries);
+    result.fraig_sat_queries = fstats.sat_queries;
+    result.fraig_rounds = fstats.rounds;
+  }
+  if (options.use_localization && check_level >= check::Level::kStage) {
+    Stage stage("eco.audit_fraig", result);
+    if (auditFailed(check::auditAig(ws.w, "fraig.workspace"))) return;
+  }
+
   // Outputs no target can influence must already match the golden circuit.
+  // The FRAIG classes prove the ones whose two roots share a class; the
+  // rest go to one miter.
   {
     std::vector<bool> touched(instance.faulty.numPos(), false);
     for (const TargetCluster& c : clusters) {
@@ -229,7 +250,12 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
     }
     std::vector<std::uint32_t> untouched;
     for (std::uint32_t j = 0; j < touched.size(); ++j) {
-      if (!touched[j]) untouched.push_back(j);
+      if (touched[j]) continue;
+      if (classes && classes->normalize(ws.f_roots[j]) ==
+                         classes->normalize(ws.g_roots[j])) {
+        continue;
+      }
+      untouched.push_back(j);
     }
     if (!untouched.empty()) {
       Stage stage("eco.verify_untouched", result);
@@ -243,26 +269,6 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
         return;
       }
     }
-  }
-
-  // FRAIG stage (only needed when localization wants shared signals).
-  std::optional<fraig::EquivClasses> classes;
-  if (options.use_localization) {
-    Stage stage("eco.fraig", result);
-    std::vector<Lit> roots = ws.f_roots;
-    roots.insert(roots.end(), ws.g_roots.begin(), ws.g_roots.end());
-    fraig::Options fo;
-    fo.seed = options.seed;
-    fo.pool = pool;
-    fraig::Stats fstats;
-    classes = fraig::computeEquivClasses(ws.w, roots, fo, &fstats);
-    stage.arg("sat_queries", fstats.sat_queries);
-    result.fraig_sat_queries = fstats.sat_queries;
-    result.fraig_rounds = fstats.rounds;
-  }
-  if (options.use_localization && check_level >= check::Level::kStage) {
-    Stage stage("eco.audit_fraig", result);
-    if (auditFailed(check::auditAig(ws.w, "fraig.workspace"))) return;
   }
   if (budgetExhausted("fraig")) return;
 

@@ -106,7 +106,7 @@ struct PatchResult {
   double opt_seconds = 0;               ///< Sec. 6 cost optimization
   double verify_seconds = 0;            ///< sum of the three verify_* rows
   std::uint64_t fraig_sat_queries = 0;  ///< solve() calls in the FRAIG stage
-  std::uint32_t fraig_rounds = 0;       ///< FRAIG refinement rounds
+  std::uint32_t fraig_rounds = 0;       ///< FRAIG walks: 1 if the stage ran, else 0
 
   // Resource attribution (run report v2 "resources" section); alloc
   // counters are 0 when the obs allocation hook is compiled out

@@ -65,11 +65,11 @@ std::string formatRunReport(const EcoInstance& instance, const PatchResult& r) {
   os << fmt("  clusters: %u, cut signals: %u, interpolation fallbacks: %u\n",
             r.num_clusters, r.cut_size, r.itp_failures);
   os << fmt(
-      "  stages (%u thread%s): fraig %.2fs (%llu SAT queries, %u rounds), "
+      "  stages (%u thread%s): fraig %.2fs (%llu SAT queries), "
       "patchgen %.2fs, opt %.2fs, verify %.2fs\n",
       r.num_threads_used, r.num_threads_used == 1 ? "" : "s", r.fraig_seconds,
-      static_cast<unsigned long long>(r.fraig_sat_queries), r.fraig_rounds,
-      r.patchgen_seconds, r.opt_seconds, r.verify_seconds);
+      static_cast<unsigned long long>(r.fraig_sat_queries), r.patchgen_seconds,
+      r.opt_seconds, r.verify_seconds);
   os << fmt("  initial patch: cost %.2f, %u gates\n", r.initial_cost,
             r.initial_size);
   os << fmt("  final patch:   cost %.2f, %u gates, %zu base signal(s), %.2fs\n",

@@ -1,11 +1,10 @@
 #pragma once
-// FRAIG-style functional equivalence class computation (the FRAIG stage of
-// the paper's flow, Fig. 1).
-//
-// Candidate classes come from word-parallel random simulation; candidates
-// are confirmed by incremental SAT (miter per pair) and refuted
-// counterexamples are fed back as new simulation patterns until the classes
-// stabilize. Complemented equivalences (a == !b) are handled by canonical
+// FRAIG-style functional reduction (the FRAIG stage of the paper's flow,
+// Fig. 1), run as an on-the-fly FRAIG: one topological walk rebuilds every
+// node over its fanins' reduced literals. Candidate merges come from
+// word-parallel random simulation and are confirmed by incremental SAT;
+// refuted candidates feed their counterexamples back as simulation
+// patterns. Complemented equivalences (a == !b) are handled by canonical
 // signature phase.
 //
 // The ECO flow runs this on a combined AIG holding both the faulty and the
@@ -26,17 +25,10 @@ namespace eco::fraig {
 
 struct Options {
   std::uint32_t sim_words = 8;        ///< initial random pattern words (x64)
-  std::uint32_t max_rounds = 64;      ///< refinement round cap
   std::int64_t conflict_budget = 10000;  ///< per-query SAT budget
   std::uint64_t seed = 0xECD5EEDULL;
-  /// When non-null with >= 2 workers, each refinement round batches its
-  /// candidate-pair SAT checks into fixed chunks of 32 pairs in
-  /// (representative, candidate) order and runs the chunks concurrently,
-  /// one fresh incremental sat::Solver per chunk; outcomes are merged at a
-  /// deterministic barrier in pair order, so the refinement is reproducible
-  /// and independent of the worker count. Null (or a 1-worker pool)
-  /// selects the sequential path: one incremental solver for the whole
-  /// call, pairs decided in ascending candidate (topological) order.
+  /// Ignored: the walk runs on the calling thread. Kept only because the
+  /// benchmark program assigns it.
   ThreadPool* pool = nullptr;
 };
 
@@ -44,7 +36,7 @@ struct Options {
 /// cumulative).
 struct Stats {
   std::uint64_t sat_queries = 0;     ///< individual solve() calls issued
-  std::uint32_t rounds = 0;          ///< refinement rounds executed
+  std::uint32_t rounds = 0;          ///< walks: 1 per computeEquivClasses, 0 in compressCones
   std::uint64_t counterexamples = 0; ///< distinguishing patterns fed back
   std::uint64_t sat_conflicts = 0;   ///< conflicts of this call's solvers
 };
@@ -75,8 +67,12 @@ class EquivClasses {
 };
 
 /// Computes proven equivalence classes among all nodes in the cones of
-/// `roots` (constant node included, so stuck-at signals are detected).
-/// `stats`, when non-null, receives this call's work counters.
+/// `roots` (constant node included, so stuck-at signals are detected). The
+/// walk of compressCones runs into a scratch graph, so `aig` is untouched;
+/// each cone node joins the class of the smallest cone node whose reduced
+/// literal is on the same reduced node, with the relative phase. A SAT
+/// check that runs out of `conflict_budget` leaves its node in a class of
+/// its own. `stats`, when non-null, receives this call's work counters.
 EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
                                  const Options& options = {},
                                  Stats* stats = nullptr);
@@ -91,10 +87,9 @@ EquivClasses computeEquivClasses(const Aig& aig, std::span<const Lit> roots,
 /// solver encoded over the reduced graph. Unsat merges it, a budget-out
 /// keeps it unmerged, and a model becomes a new pattern bit before the
 /// lookup is repeated. Returns the rebuilt root literals in the same
-/// graph; `stats`, when non-null, receives this call's work counters
-/// (`rounds` stays 0). The ECO engine uses this to damp the cone growth of
-/// Algorithm 1's iterated substitutions. `options.pool` and
-/// `options.max_rounds` are ignored.
+/// graph; `stats`, when non-null, receives this call's work counters. The
+/// ECO engine uses this to damp the cone growth of Algorithm 1's iterated
+/// substitutions.
 std::vector<Lit> compressCones(Aig& aig, std::span<const Lit> roots,
                                const Options& options = {},
                                Stats* stats = nullptr);

@@ -13,18 +13,33 @@
 namespace eco::io {
 namespace {
 
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::runtime_error("aiger: " + msg);
+/// Where a parse error is: lineAt() in the ASCII sections, byteAt() from
+/// the binary AND section on, whose bytes may contain newlines.
+struct Where {
+  const char* unit;
+  std::uint64_t at;
+};
+
+/// A 1-based line number.
+Where lineAt(std::uint64_t line) { return {"line", line}; }
+
+/// A 0-based byte offset into the input.
+Where byteAt(std::uint64_t offset) { return {"byte", offset}; }
+
+[[noreturn]] void fail(Where where, const std::string& msg) {
+  throw std::runtime_error("aiger: " + std::string(where.unit) + " " +
+                           std::to_string(where.at) + ": " + msg);
 }
 
 /// Parses all of `text` as a decimal number that fits in 32 bits; anything
 /// else (empty, a sign, trailing bytes, overflow) fails naming `what`.
-std::uint32_t parseU32(const std::string& text, const std::string& what) {
+std::uint32_t parseU32(const std::string& text, const std::string& what,
+                       Where where) {
   std::uint32_t value = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end) {
-    fail("bad " + what + " '" + text.substr(0, 32) + "'");
+    fail(where, "bad " + what + " '" + text.substr(0, 32) + "'");
   }
   return value;
 }
@@ -71,16 +86,18 @@ void pushVarint(std::string& out, std::uint32_t x) {
   out.push_back(static_cast<char>(x));
 }
 
+/// Decodes the varint at `pos`; errors name its first byte.
 std::uint32_t readVarint(const std::string& data, std::size_t& pos) {
+  const std::size_t start = pos;
   std::uint32_t x = 0;
   int shift = 0;
   for (;;) {
-    if (pos >= data.size()) fail("truncated binary and-gate section");
+    if (pos >= data.size()) fail(byteAt(start), "truncated binary and-gate section");
     const auto byte = static_cast<unsigned char>(data[pos++]);
     x |= static_cast<std::uint32_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;
-    if (shift > 28) fail("varint overflow");
+    if (shift > 28) fail(byteAt(start), "varint overflow");
   }
   return x;
 }
@@ -134,9 +151,12 @@ std::string writeAigerBinary(const Aig& aig) {
 
 Aig parseAiger(const std::string& data) {
   std::size_t pos = 0;
+  std::uint64_t line = 0;  // of the ASCII line last read, 1-based
+  const auto here = [&] { return lineAt(line); };
   const auto readLine = [&]() -> std::string {
     const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) fail("unexpected end of file");
+    ++line;
+    if (nl == std::string::npos) fail(here(), "unexpected end of file");
     std::string line = data.substr(pos, nl - pos);
     pos = nl + 1;
     return line;
@@ -145,28 +165,28 @@ Aig parseAiger(const std::string& data) {
   std::istringstream hs(readLine());
   std::string magic, counts[5];
   if (!(hs >> magic >> counts[0] >> counts[1] >> counts[2] >> counts[3] >> counts[4])) {
-    fail("malformed header");
+    fail(here(), "malformed header");
   }
-  const std::uint32_t M = parseU32(counts[0], "header count");
-  const std::uint32_t I = parseU32(counts[1], "header count");
-  const std::uint32_t L = parseU32(counts[2], "header count");
-  const std::uint32_t O = parseU32(counts[3], "header count");
-  const std::uint32_t A = parseU32(counts[4], "header count");
+  const std::uint32_t M = parseU32(counts[0], "header count", here());
+  const std::uint32_t I = parseU32(counts[1], "header count", here());
+  const std::uint32_t L = parseU32(counts[2], "header count", here());
+  const std::uint32_t O = parseU32(counts[3], "header count", here());
+  const std::uint32_t A = parseU32(counts[4], "header count", here());
   const bool binary = magic == "aig";
-  if (!binary && magic != "aag") fail("unknown magic '" + magic + "'");
-  if (L != 0) fail("sequential designs (latches) are not supported");
+  if (!binary && magic != "aag") fail(here(), "unknown magic '" + magic + "'");
+  if (L != 0) fail(here(), "sequential designs (latches) are not supported");
   if (std::max(M, I) > kAigerMaxVars) {
-    fail("header count " + std::to_string(std::max(M, I)) +
+    fail(here(), "header count " + std::to_string(std::max(M, I)) +
          " exceeds the reader limit of " + std::to_string(kAigerMaxVars) +
          " variables");
   }
   // Header counts are 32-bit; add them in 64 bits so they cannot wrap.
-  if (std::uint64_t{M} < std::uint64_t{I} + A) fail("inconsistent header counts");
+  if (std::uint64_t{M} < std::uint64_t{I} + A) fail(here(), "inconsistent header counts");
   // M sizes the literal table before any definition is read. Bound it by
   // the implicit binary inputs plus one variable per input byte; no real
   // file numbers its variables more sparsely than that.
   if (std::uint64_t{M} > std::uint64_t{binary ? I : 0} + data.size()) {
-    fail("maximum variable index " + std::to_string(M) +
+    fail(here(), "maximum variable index " + std::to_string(M) +
          " exceeds what the input can define");
   }
 
@@ -174,10 +194,10 @@ Aig parseAiger(const std::string& data) {
   // aiger var -> our literal. Var 0 is constant FALSE in both encodings.
   std::vector<Lit> lit_of(std::size_t{M} + 1, Lit());
   lit_of[0] = kFalse;
-  const auto litOf = [&](std::uint32_t l) -> Lit {
-    if (l / 2 > M) fail("literal out of range");
+  const auto litOf = [&](std::uint32_t l, Where where) -> Lit {
+    if (l / 2 > M) fail(where, "literal out of range");
     const Lit base = lit_of[l / 2];
-    if (!base.valid()) fail("literal " + std::to_string(l) + " used before defined");
+    if (!base.valid()) fail(where, "literal " + std::to_string(l) + " used before defined");
     return base ^ ((l & 1) != 0);
   };
 
@@ -187,7 +207,7 @@ Aig parseAiger(const std::string& data) {
   const auto lines_left = static_cast<std::uint64_t>(
       std::count(data.begin() + static_cast<std::ptrdiff_t>(pos), data.end(), '\n'));
   if (lines_needed > lines_left) {
-    fail("header counts need " + std::to_string(lines_needed) +
+    fail(here(), "header counts need " + std::to_string(lines_needed) +
          " input/output lines but only " + std::to_string(lines_left) + " follow");
   }
   std::vector<std::uint32_t> input_lits(I), output_lits(O);
@@ -195,27 +215,29 @@ Aig parseAiger(const std::string& data) {
     for (std::uint32_t i = 0; i < I; ++i) input_lits[i] = 2 * (i + 1);
   } else {
     for (std::uint32_t i = 0; i < I; ++i) {
-      input_lits[i] = parseU32(readLine(), "input literal");
-      if (input_lits[i] != 2 * (i + 1)) fail("non-canonical input numbering");
+      input_lits[i] = parseU32(readLine(), "input literal", here());
+      if (input_lits[i] != 2 * (i + 1)) fail(here(), "non-canonical input numbering");
     }
   }
   for (std::uint32_t i = 0; i < I; ++i) {
     lit_of[input_lits[i] / 2] = aig.addPi();
   }
+  const std::uint64_t first_output_line = line + 1;
   for (std::uint32_t i = 0; i < O; ++i) {
-    output_lits[i] = parseU32(readLine(), "output literal");
+    output_lits[i] = parseU32(readLine(), "output literal", here());
   }
 
   if (binary) {
     for (std::uint32_t a = 0; a < A; ++a) {
+      const Where where = byteAt(pos);
       const std::uint32_t lhs = 2 * (I + L + a + 1);
       const std::uint32_t delta0 = readVarint(data, pos);
       const std::uint32_t delta1 = readVarint(data, pos);
-      if (delta0 > lhs) fail("invalid delta");
+      if (delta0 > lhs) fail(where, "invalid delta");
       const std::uint32_t rhs0 = lhs - delta0;
-      if (delta1 > rhs0) fail("invalid delta");
+      if (delta1 > rhs0) fail(where, "invalid delta");
       const std::uint32_t rhs1 = rhs0 - delta1;
-      lit_of[lhs / 2] = aig.addAnd(litOf(rhs0), litOf(rhs1));
+      lit_of[lhs / 2] = aig.addAnd(litOf(rhs0, where), litOf(rhs1, where));
     }
   } else {
     // ASCII AND definitions may reference later definitions only in
@@ -223,39 +245,42 @@ Aig parseAiger(const std::string& data) {
     for (std::uint32_t a = 0; a < A; ++a) {
       std::istringstream ls(readLine());
       std::string fields[3];
-      if (!(ls >> fields[0] >> fields[1] >> fields[2])) fail("malformed and line");
-      const std::uint32_t lhs = parseU32(fields[0], "and literal");
-      const std::uint32_t rhs0 = parseU32(fields[1], "and literal");
-      const std::uint32_t rhs1 = parseU32(fields[2], "and literal");
-      if ((lhs & 1) != 0 || lhs / 2 > M) fail("bad and lhs");
-      if (lit_of[lhs / 2].valid()) fail("redefinition of " + std::to_string(lhs));
-      lit_of[lhs / 2] = aig.addAnd(litOf(rhs0), litOf(rhs1));
+      if (!(ls >> fields[0] >> fields[1] >> fields[2])) fail(here(), "malformed and line");
+      const std::uint32_t lhs = parseU32(fields[0], "and literal", here());
+      const std::uint32_t rhs0 = parseU32(fields[1], "and literal", here());
+      const std::uint32_t rhs1 = parseU32(fields[2], "and literal", here());
+      if ((lhs & 1) != 0 || lhs / 2 > M) fail(here(), "bad and lhs");
+      if (lit_of[lhs / 2].valid()) fail(here(), "redefinition of " + std::to_string(lhs));
+      lit_of[lhs / 2] = aig.addAnd(litOf(rhs0, here()), litOf(rhs1, here()));
     }
   }
 
   for (std::uint32_t i = 0; i < O; ++i) {
-    aig.addPo(litOf(output_lits[i]));
+    aig.addPo(litOf(output_lits[i], lineAt(first_output_line + i)));
   }
 
   // Symbol table (and comments, ignored).
   std::vector<std::string> pi_names(I), po_names(O);
   while (pos < data.size()) {
+    // After a binary AND section the line count is lost.
+    ++line;
+    const Where where = binary ? byteAt(pos) : here();
     const std::size_t nl = data.find('\n', pos);
-    const std::string line =
+    const std::string text =
         data.substr(pos, nl == std::string::npos ? std::string::npos : nl - pos);
     pos = nl == std::string::npos ? data.size() : nl + 1;
-    if (line.empty()) continue;
-    if (line[0] == 'c') break;  // comment section
-    if (line[0] != 'i' && line[0] != 'o') fail("bad symbol line '" + line + "'");
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos) fail("bad symbol line '" + line + "'");
-    const std::uint32_t idx = parseU32(line.substr(1, sp - 1), "symbol index");
-    const std::string name = line.substr(sp + 1);
-    if (line[0] == 'i') {
-      if (idx >= I) fail("input symbol out of range");
+    if (text.empty()) continue;
+    if (text[0] == 'c') break;  // comment section
+    if (text[0] != 'i' && text[0] != 'o') fail(where, "bad symbol line '" + text + "'");
+    const std::size_t sp = text.find(' ');
+    if (sp == std::string::npos) fail(where, "bad symbol line '" + text + "'");
+    const std::uint32_t idx = parseU32(text.substr(1, sp - 1), "symbol index", where);
+    const std::string name = text.substr(sp + 1);
+    if (text[0] == 'i') {
+      if (idx >= I) fail(where, "input symbol out of range");
       pi_names[idx] = name;
     } else {
-      if (idx >= O) fail("output symbol out of range");
+      if (idx >= O) fail(where, "output symbol out of range");
       po_names[idx] = name;
     }
   }

@@ -160,6 +160,35 @@ TEST(Aiger, RejectsTruncatedBinary) {
   EXPECT_THROW(parseAiger(bin), std::runtime_error);
 }
 
+std::string parseError(const std::string& text) {
+  try {
+    (void)parseAiger(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Aiger, BadAndLineNamesItsLine) {
+  // Header, two inputs, one output, then two AND lines: the second one,
+  // line 6, is malformed.
+  EXPECT_EQ(parseError("aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n8 6 x\n"),
+            "aiger: line 6: bad and literal 'x'");
+  EXPECT_EQ(parseError("aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n8 6\n"),
+            "aiger: line 6: malformed and line");
+}
+
+TEST(Aiger, TruncatedBinaryNamesItsByte) {
+  // The header and the output line take bytes 0-15, the first gate's two
+  // deltas bytes 16 and 17, and the second gate stops after its first
+  // delta, at byte 18: its second delta would start at byte 19.
+  EXPECT_EQ(parseError(std::string("aig 4 2 0 1 2\n8\n") + "\x02\x02" + "\x02"),
+            "aiger: byte 19: truncated binary and-gate section");
+  // A delta pointing below literal 0 names its gate's first byte.
+  EXPECT_EQ(parseError(std::string("aig 4 2 0 1 2\n8\n") + "\x02\x02" + "\x02\x09"),
+            "aiger: byte 18: invalid delta");
+}
+
 class AigerRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AigerRandom, RandomRoundTripsBothFormats) {

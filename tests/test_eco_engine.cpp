@@ -13,6 +13,7 @@
 #include "eco/baseline.h"
 #include "eco/engine.h"
 #include "eco/verify.h"
+#include "qa/oracle.h"
 
 namespace eco {
 namespace {
@@ -137,10 +138,12 @@ TEST(EcoEngine, ReportsUnrectifiable) {
   EXPECT_NE(r.message.find("unrectifiable"), std::string::npos) << r.message;
 }
 
-TEST(EcoEngine, ReportsUntouchedOutputMismatch) {
-  // Second output differs but has no target in its cone.
+/// Golden o0 = a & b, o1 = a ^ b; faulty o0 = t0 and o1 = `o1(a, b)`, which
+/// no target reaches.
+template <typename Untouched>
+EcoInstance untouchedOutput(const char* name, Untouched o1) {
   EcoInstance inst;
-  inst.name = "untouched";
+  inst.name = name;
   {
     const Lit a = inst.golden.addPi("a");
     const Lit b = inst.golden.addPi("b");
@@ -153,11 +156,50 @@ TEST(EcoEngine, ReportsUntouchedOutputMismatch) {
     const Lit t = inst.faulty.addPi("t0");
     inst.num_x = 2;
     inst.faulty.addPo(t, "o0");
-    inst.faulty.addPo(inst.faulty.mkOr(a, b), "o1");  // wrong, no target
+    inst.faulty.addPo(o1(inst.faulty, a, b), "o1");
   }
-  const PatchResult r = EcoEngine().run(inst);
-  EXPECT_FALSE(r.success);
-  EXPECT_NE(r.message.find("unrectifiable"), std::string::npos);
+  return inst;
+}
+
+bool hasStageRow(const PatchResult& r, const char* stage) {
+  return std::any_of(r.stage_resources.begin(), r.stage_resources.end(),
+                     [&](const StageResource& row) { return row.stage == stage; });
+}
+
+// An untouched output that differs from golden is never in one FRAIG class
+// with its golden root, so it reaches the miter, with localization on or
+// off, and the run names it with a counterexample that holds.
+TEST(EcoEngine, ReportsUntouchedOutputMismatch) {
+  const EcoInstance inst = untouchedOutput(
+      "untouched", [](Aig& f, Lit a, Lit b) { return f.mkOr(a, b); });
+  for (const bool localization : {true, false}) {
+    EcoOptions opt;
+    opt.use_localization = localization;
+    const PatchResult r = EcoEngine(opt).run(inst);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.message,
+              "unrectifiable: output 1 differs from golden but no target reaches it");
+    EXPECT_TRUE(hasStageRow(r, "verify_untouched"));
+    ASSERT_EQ(r.counterexample.size(), inst.num_x);
+    EXPECT_TRUE(qa::checkCounterexample(inst, r.counterexample).ok)
+        << "localization " << localization;
+  }
+}
+
+// An untouched output equal to golden shares a FRAIG class with its golden
+// root, so no miter is built for it; without localization there are no
+// classes and the miter checks it.
+TEST(EcoEngine, FraigClassesProveUntouchedOutputs) {
+  const EcoInstance inst = untouchedOutput("proven", [](Aig& f, Lit a, Lit b) {
+    return f.mkOr(f.addAnd(a, !b), f.addAnd(!a, b));
+  });
+  for (const bool localization : {true, false}) {
+    EcoOptions opt;
+    opt.use_localization = localization;
+    const PatchResult r = EcoEngine(opt).run(inst);
+    expectPatchedEquivalent(inst, r);
+    EXPECT_EQ(hasStageRow(r, "verify_untouched"), !localization);
+  }
 }
 
 TEST(EcoEngine, NoTargetsRejected) {

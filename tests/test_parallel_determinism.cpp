@@ -1,17 +1,22 @@
 // Determinism contract of the parallel engine (DESIGN.md): EcoEngine::run
 // must produce bit-identical patches — cost, size, base selection — for any
-// worker count, and the batched parallel FRAIG sweep must refine to the
-// same equivalence classes as the sequential incremental-solver path.
+// worker count. The FRAIG stage runs on one thread; its classes are checked
+// here against exhaustive truth tables.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
+#include "aig/aig_ops.h"
 #include "benchgen/benchgen.h"
 #include "eco/engine.h"
+#include "eco/relations.h"
 #include "eco/verify.h"
 #include "fraig/fraig.h"
+#include "sim/sim.h"
 
 namespace eco {
 namespace {
@@ -104,40 +109,60 @@ TEST(ParallelDeterminism, ParallelRunsProduceVerifiedPatches) {
   }
 }
 
-TEST(ParallelDeterminism, FraigClassesMatchSequentialSweep) {
-  for (const EcoInstance& inst : exampleInstances()) {
-    // Sweep the faulty+golden region exactly as the engine's FRAIG stage
-    // does, with and without worker pools.
-    Aig region = inst.faulty;
-    std::vector<Lit> roots;
-    for (std::uint32_t i = 0; i < region.numPos(); ++i) {
-      roots.push_back(region.poDriver(i));
+// Ground truth for the FRAIG stage, on workspaces small enough to simulate
+// exhaustively: the classes are exactly the partition of the cone nodes
+// (the constant included) by truth table up to complement, each class
+// represented by its smallest node with the relative phase. Workspaces with
+// more than kMaxInputs inputs (unit03, unit05 and unit06) are skipped.
+TEST(FraigClasses, EqualTheTruthTablePartition) {
+  constexpr std::uint32_t kMaxInputs = 16;
+  std::vector<EcoInstance> instances = exampleInstances();
+  for (const benchgen::UnitSpec& spec :
+       {benchgen::UnitSpec{.name = "random", .family = benchgen::Family::Random,
+                           .size_param = 60, .num_targets = 2, .seed = 3},
+        benchgen::UnitSpec{.name = "parity", .family = benchgen::Family::Parity,
+                           .size_param = 8, .num_targets = 2, .seed = 5},
+        benchgen::UnitSpec{.name = "prio", .family = benchgen::Family::PriorityEnc,
+                           .size_param = 8, .num_targets = 1, .seed = 7},
+        benchgen::UnitSpec{.name = "adder", .family = benchgen::Family::Adder,
+                           .size_param = 6, .num_targets = 2, .seed = 9}}) {
+    instances.push_back(benchgen::generateUnit(spec));
+  }
+  std::size_t checked = 0;
+  for (const EcoInstance& inst : instances) {
+    const Workspace ws = buildWorkspace(inst);
+    std::vector<Lit> roots = ws.f_roots;
+    roots.insert(roots.end(), ws.g_roots.begin(), ws.g_roots.end());
+    const std::uint32_t n = ws.w.numPis();
+    if (n > kMaxInputs) continue;
+    ++checked;
+    const std::uint32_t minterms = 1u << n;
+    sim::PatternSet patterns(n, std::max(1u, minterms / 64));
+    for (std::uint32_t m = 0; m < minterms; ++m) {
+      for (std::uint32_t p = 0; p < n; ++p) patterns.setBit(p, m, (m >> p) & 1);
     }
+    const sim::PatternSet values = sim::simulateAll(ws.w, patterns);
 
-    fraig::Options seq_opt;
-    fraig::Stats seq_stats;
-    const fraig::EquivClasses seq =
-        fraig::computeEquivClasses(region, roots, seq_opt, &seq_stats);
-    EXPECT_GE(seq_stats.rounds, 1u);
-
-    for (const unsigned workers : {2u, 4u}) {
-      ThreadPool pool(workers);
-      fraig::Options par_opt;
-      par_opt.pool = &pool;
-      fraig::Stats par_stats;
-      const fraig::EquivClasses par =
-          fraig::computeEquivClasses(region, roots, par_opt, &par_stats);
-      ASSERT_EQ(par.numVars(), seq.numVars());
-      for (std::uint32_t v = 0; v < seq.numVars(); ++v) {
-        EXPECT_EQ(par.normalize(Lit::fromVar(v, false)),
-                  seq.normalize(Lit::fromVar(v, false)))
-            << inst.name << " var " << v << " @" << workers;
+    std::vector<std::uint32_t> cone = collectCone(ws.w, roots);
+    cone.push_back(0);
+    std::sort(cone.begin(), cone.end());
+    // Canonical truth table -> (smallest node, its phase).
+    std::map<std::vector<std::uint64_t>, std::pair<std::uint32_t, bool>> first;
+    const fraig::EquivClasses classes = fraig::computeEquivClasses(ws.w, roots);
+    for (const std::uint32_t var : cone) {
+      const auto table = values.of(var);
+      const bool phase = (table[0] & 1) != 0;
+      std::vector<std::uint64_t> key(table.begin(), table.end());
+      if (phase) {
+        for (std::uint64_t& w : key) w = ~w;
       }
-      // Regions without any simulation-equal pair issue no queries at all;
-      // otherwise the batched sweep must have done SAT work too.
-      if (seq_stats.sat_queries > 0) EXPECT_GE(par_stats.sat_queries, 1u);
+      const auto [rep, rep_phase] = first.try_emplace(key, var, phase).first->second;
+      EXPECT_EQ(classes.normalize(Lit::fromVar(var, false)),
+                Lit::fromVar(rep, phase != rep_phase))
+          << inst.name << " var " << var;
     }
   }
+  EXPECT_EQ(checked, instances.size() - 3);
 }
 
 }  // namespace

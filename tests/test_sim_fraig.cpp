@@ -10,6 +10,9 @@
 #include "aig/aig.h"
 #include "aig/aig_ops.h"
 #include "base/rng.h"
+#include "benchgen/benchgen.h"
+#include "eco/engine.h"
+#include "eco/relations.h"
 #include "fraig/fraig.h"
 #include "sim/sim.h"
 
@@ -157,6 +160,27 @@ TEST(Fraig, TopologicalSweepReusesFaninProofs) {
   EXPECT_EQ(classes.normalize(a), classes.normalize(b));
   EXPECT_GT(stats.sat_queries, 0u);
   EXPECT_LE(stats.sat_conflicts, 800u);
+}
+
+// FRAIG effort on the workspace of one wide_netlist benchmark instance,
+// PriorityEnc(256) seed 7 (one target), as the engine's FRAIG stage builds
+// it. The CI perf gate times only the 20-unit suite, where the FRAIG stage
+// takes milliseconds, so this deterministic count guards the stage on a
+// wide netlist. The walk issues 682 queries; a round-based pair sweep
+// issued 4,273 to 24,122.
+TEST(Fraig, WidePriorityEncoderNeedsFewQueries) {
+  const EcoInstance inst = benchgen::generateUnit(
+      {.name = "prio256_s7", .family = benchgen::Family::PriorityEnc,
+       .size_param = 256, .num_targets = 1, .seed = 7});
+  const Workspace ws = buildWorkspace(inst);
+  std::vector<Lit> roots = ws.f_roots;
+  roots.insert(roots.end(), ws.g_roots.begin(), ws.g_roots.end());
+  fraig::Options options;
+  options.seed = EcoOptions{}.seed;
+  fraig::Stats stats;
+  fraig::computeEquivClasses(ws.w, roots, options, &stats);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_LE(stats.sat_queries, 2000u);
 }
 
 // ------------------------------------------------------- compressCones --
