@@ -27,10 +27,6 @@
 //                          descriptor N every 2 seconds and on SIGUSR1
 //                          (SIGUSR1 works even without --status-fd=stderr:
 //                          the emitter thread owns the write)
-//   --metrics-port N       serve GET /metrics (Prometheus text) and
-//                          GET /status (JSON) on 127.0.0.1:N for the
-//                          duration of the run; N=0 picks an ephemeral
-//                          port and prints it on stderr
 //   --postmortem FILE      dump a flight-recorder postmortem JSON to FILE
 //                          on a crash signal, invariant-audit failure, or
 //                          engine budget exhaustion
@@ -39,7 +35,9 @@
 //                          unlimited)
 //   --quiet                suppress the stage report
 //
-// Exit codes: 0 patched+verified, 1 usage/parse error, 2 unrectifiable.
+// Exit codes: 0 patched+verified; 1 usage/parse error or a patch file
+// that cannot be written; 2 no verified patch (unrectifiable, time budget
+// exhausted, or an internal error such as a failed invariant audit).
 
 #include <cctype>
 #include <cerrno>
@@ -59,7 +57,6 @@
 #include "io/verilog.h"
 #include "obs/flight_recorder.h"
 #include "obs/progress.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 namespace {
@@ -82,8 +79,7 @@ std::string readFile(const std::string& path) {
                "[--no-minimize] [--itp-first] [--pi-only] [--watch N] "
                "[--rounds N] [--seed N] [--threads N] [--check[=LEVEL]] "
                "[--json FILE] [--trace FILE] [--status-fd N] "
-               "[--metrics-port N] [--postmortem FILE] [--time-budget S] "
-               "[--quiet]\n");
+               "[--postmortem FILE] [--time-budget S] [--quiet]\n");
   std::exit(1);
 }
 
@@ -134,8 +130,6 @@ int main(int argc, char** argv) {
   EcoOptions opt;
   bool quiet = false;
   int status_fd = -1;
-  bool serve_metrics = false;
-  std::uint16_t metrics_port = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -185,9 +179,6 @@ int main(int argc, char** argv) {
       trace_path = next();
     } else if (a == "--status-fd") {
       status_fd = parseNumber<int>(next());
-    } else if (a == "--metrics-port") {
-      serve_metrics = true;
-      metrics_port = parseNumber<std::uint16_t>(next());
     } else if (a == "--postmortem") {
       postmortem_path = next();
     } else if (a == "--time-budget") {
@@ -219,21 +210,10 @@ int main(int argc, char** argv) {
   obs::installStatusSignalHandler();
   obs::startStatusEmitter(status_fd >= 0 ? status_fd : 2,
                           status_fd >= 0 ? 2.0 : 0.0);
-  obs::StatsServer stats_server;
-  if (serve_metrics) {
-    std::string server_error;
-    if (!stats_server.start(metrics_port, &server_error)) {
-      std::fprintf(stderr, "ecopatch: %s\n", server_error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "ecopatch: serving http://127.0.0.1:%u/metrics\n",
-                 static_cast<unsigned>(stats_server.port()));
-  }
 
   if (!trace_path.empty()) obs::startTrace();
   const PatchResult r = EcoEngine(opt).run(inst);
   obs::stopStatusEmitter();
-  stats_server.stop();
   if (!trace_path.empty()) {
     const obs::TraceDump dump = obs::stopTrace();
     std::string trace_error;
@@ -260,8 +240,10 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     std::printf("%s", patch_text.c_str());
   } else {
-    std::ofstream out(out_path);
-    out << patch_text;
+    if (!writeTextFile(out_path, patch_text)) {
+      std::fprintf(stderr, "ecopatch: cannot write '%s'\n", out_path.c_str());
+      return 1;
+    }
     if (!quiet) std::printf("patch written to %s\n", out_path.c_str());
   }
   return 0;

@@ -1,28 +1,19 @@
 #include "eco/report_json.h"
 
-#include <iterator>
-#include <string_view>
-
 #include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace eco {
 namespace {
 
+using obs::json::RequiredKey;
 using obs::json::Value;
 
 /// Required keys common to every schema version, with the Kind each must
 /// carry. `success` and the numeric result block are the contract the
 /// bench trajectory and CI smoke tests rely on; everything else may be
 /// extended freely.
-struct RequiredKey {
-  const char* path;  ///< "section.key" (one level deep) or top-level key
-  Value::Kind kind;
-};
-
 constexpr RequiredKey kRequired[] = {
-    {"schema", Value::Kind::String},
-    {"schema_version", Value::Kind::Number},
     {"instance.name", Value::Kind::String},
     {"instance.num_inputs", Value::Kind::Number},
     {"instance.num_outputs", Value::Kind::Number},
@@ -49,18 +40,6 @@ constexpr RequiredKey kRequiredV2[] = {
     {"resources.stages", Value::Kind::Array},
     {"resources.threads", Value::Kind::Array},
 };
-
-const char* kindName(Value::Kind k) {
-  switch (k) {
-    case Value::Kind::Null: return "null";
-    case Value::Kind::Bool: return "bool";
-    case Value::Kind::Number: return "number";
-    case Value::Kind::String: return "string";
-    case Value::Kind::Array: return "array";
-    case Value::Kind::Object: return "object";
-  }
-  return "?";
-}
 
 }  // namespace
 
@@ -162,71 +141,15 @@ std::string writeJsonReport(const EcoInstance& instance, const PatchResult& r,
 }
 
 bool validateJsonReport(const std::string& json, std::string* error) {
-  const auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
-  Value root;
-  std::string parse_error;
-  if (!obs::json::parse(json, &root, &parse_error)) {
-    return fail("run report is not valid JSON: " + parse_error);
-  }
-  if (root.kind != Value::Kind::Object) {
-    return fail("run report root must be an object");
-  }
-
-  const auto checkKeys = [&](const RequiredKey* keys, std::size_t n,
-                             std::string* key_error) -> bool {
-    for (std::size_t i = 0; i < n; ++i) {
-      const RequiredKey& req = keys[i];
-      const std::string_view path(req.path);
-      const std::size_t dot = path.find('.');
-      const Value* v = nullptr;
-      if (dot == std::string_view::npos) {
-        v = root.find(std::string(path));
-      } else {
-        const Value* section = root.find(std::string(path.substr(0, dot)));
-        if (section == nullptr || section->kind != Value::Kind::Object) {
-          *key_error = "run report missing section '" +
-                       std::string(path.substr(0, dot)) + "'";
-          return false;
-        }
-        v = section->find(std::string(path.substr(dot + 1)));
-      }
-      if (v == nullptr) {
-        *key_error =
-            "run report missing required key '" + std::string(path) + "'";
-        return false;
-      }
-      if (v->kind != req.kind) {
-        *key_error = "run report key '" + std::string(path) + "' must be " +
-                     kindName(req.kind) + ", got " + kindName(v->kind);
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::string key_error;
-  if (!checkKeys(kRequired, std::size(kRequired), &key_error)) {
-    return fail(key_error);
-  }
-
-  const Value* schema = root.find("schema");
-  if (schema->string != kRunReportSchema) {
-    return fail("unexpected schema name '" + schema->string + "'");
-  }
   // Backward-compatible validation: v1 documents (pre-resources) stay
   // valid; v2 additionally requires the resources section.
-  const double version = root.find("schema_version")->number;
-  if (version != 1 && version != static_cast<double>(kRunReportSchemaVersion)) {
-    return fail("unsupported schema_version " + std::to_string(version));
+  Value root;
+  if (!obs::json::parseDocument(json, "run report", kRunReportSchema, 1,
+                                kRunReportSchemaVersion, kRequired, &root, error)) {
+    return false;
   }
-  if (version >= 2 &&
-      !checkKeys(kRequiredV2, std::size(kRequiredV2), &key_error)) {
-    return fail(key_error);
-  }
-  return true;
+  return root.find("schema_version")->number < 2 ||
+         obs::json::checkRequired(root, kRequiredV2, "run report", error);
 }
 
 }  // namespace eco

@@ -1,10 +1,28 @@
 #include "io/instance_io.h"
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "io/verilog.h"
 
 namespace eco::io {
+namespace {
+
+void checkPortsMatch(const std::string& kind, const std::vector<std::string>& faulty,
+                     const std::vector<std::string>& golden) {
+  if (faulty.size() != golden.size()) {
+    throw std::runtime_error("faulty and golden " + kind + " lists differ");
+  }
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    if (faulty[i] != golden[i]) {
+      throw std::runtime_error(kind + " name mismatch at position " + std::to_string(i) +
+                               ": '" + faulty[i] + "' vs '" + golden[i] + "'");
+    }
+  }
+}
+
+}  // namespace
 
 EcoInstance loadInstance(const std::string& faulty_v, const std::string& golden_v,
                          const std::string& weights, const std::string& name) {
@@ -13,19 +31,9 @@ EcoInstance loadInstance(const std::string& faulty_v, const std::string& golden_
   if (!golden.targets.empty()) {
     throw std::runtime_error("golden netlist has undriven wires");
   }
-  if (faulty.inputs.size() != golden.inputs.size()) {
-    throw std::runtime_error("faulty and golden input lists differ");
-  }
-  for (std::size_t i = 0; i < faulty.inputs.size(); ++i) {
-    if (faulty.inputs[i] != golden.inputs[i]) {
-      throw std::runtime_error("input name mismatch at position " +
-                               std::to_string(i) + ": '" + faulty.inputs[i] +
-                               "' vs '" + golden.inputs[i] + "'");
-    }
-  }
-  if (faulty.outputs.size() != golden.outputs.size()) {
-    throw std::runtime_error("faulty and golden output lists differ");
-  }
+  // The engine pairs ports by position, so both lists must match name by name.
+  checkPortsMatch("input", faulty.inputs, golden.inputs);
+  checkPortsMatch("output", faulty.outputs, golden.outputs);
   if (faulty.targets.empty()) {
     throw std::runtime_error("faulty netlist has no floating targets");
   }

@@ -259,31 +259,7 @@ std::string postmortemJson(const char* reason, const char* detail) {
 }
 
 bool validatePostmortemJson(const std::string& json, std::string* error) {
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
-  json::Value root;
-  std::string parse_error;
-  if (!json::parse(json, &root, &parse_error)) {
-    return fail("postmortem is not valid JSON: " + parse_error);
-  }
-  if (!root.isObject()) return fail("postmortem root must be an object");
-  const json::Value* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->string != kPostmortemSchema) {
-    return fail("postmortem document must carry schema '" +
-                std::string(kPostmortemSchema) + "'");
-  }
-  const json::Value* version = root.find("schema_version");
-  if (version == nullptr || !version->isNumber() ||
-      version->number != static_cast<double>(kPostmortemSchemaVersion)) {
-    return fail("unsupported postmortem schema_version");
-  }
-  const struct {
-    const char* key;
-    json::Value::Kind kind;
-  } required[] = {
+  static constexpr json::RequiredKey kRequired[] = {
       {"reason", json::Value::Kind::String},
       {"detail", json::Value::Kind::String},
       {"uptime_seconds", json::Value::Kind::Number},
@@ -293,17 +269,16 @@ bool validatePostmortemJson(const std::string& json, std::string* error) {
       {"counters", json::Value::Kind::Object},
       {"threads", json::Value::Kind::Array},
   };
-  for (const auto& req : required) {
-    const json::Value* v = root.find(req.key);
-    if (v == nullptr) {
-      return fail(std::string("postmortem missing required key '") + req.key +
-                  "'");
-    }
-    if (v->kind != req.kind) {
-      return fail(std::string("postmortem key '") + req.key +
-                  "' has wrong type");
-    }
+  json::Value root;
+  if (!json::parseDocument(json, "postmortem", kPostmortemSchema,
+                           kPostmortemSchemaVersion, kPostmortemSchemaVersion, kRequired,
+                           &root, error)) {
+    return false;
   }
+  const auto fail = [&](const std::string& msg) {
+    if (error != nullptr) *error = msg;
+    return false;
+  };
   for (const json::Value& thread : root.find("threads")->array) {
     if (!thread.isObject()) return fail("postmortem thread must be an object");
     const json::Value* events = thread.find("events");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 
 namespace eco::obs {
 
@@ -378,6 +379,75 @@ class Parser {
 
 bool parse(std::string_view text, Value* out, std::string* error) {
   return Parser(text, error).run(out);
+}
+
+namespace {
+
+const char* kindName(Value::Kind k) {
+  switch (k) {
+    case Value::Kind::Null: return "null";
+    case Value::Kind::Bool: return "bool";
+    case Value::Kind::Number: return "number";
+    case Value::Kind::String: return "string";
+    case Value::Kind::Array: return "array";
+    case Value::Kind::Object: return "object";
+  }
+  return "?";
+}
+
+/// Stores the concatenated `parts` in `error` (when non-null); returns false.
+bool fail(std::string* error, std::initializer_list<std::string_view> parts) {
+  if (error != nullptr) {
+    error->clear();
+    for (const std::string_view part : parts) error->append(part);
+  }
+  return false;
+}
+
+}  // namespace
+
+bool checkRequired(const Value& root, std::span<const RequiredKey> required,
+                   std::string_view what, std::string* error) {
+  for (const RequiredKey& req : required) {
+    const std::string_view path(req.path);
+    const std::size_t dot = path.find('.');
+    const Value* v = &root;
+    if (dot != std::string_view::npos) {
+      const std::string_view section = path.substr(0, dot);
+      v = root.find(section);
+      if (v == nullptr || !v->isObject()) {
+        return fail(error, {what, " missing section '", section, "'"});
+      }
+    }
+    v = v->find(dot == std::string_view::npos ? path : path.substr(dot + 1));
+    if (v == nullptr) return fail(error, {what, " missing required key '", path, "'"});
+    if (v->kind != req.kind) {
+      return fail(error, {what, " key '", path, "' must be ", kindName(req.kind),
+                          ", got ", kindName(v->kind)});
+    }
+  }
+  return true;
+}
+
+bool parseDocument(std::string_view text, std::string_view what,
+                   std::string_view schema, int min_version, int max_version,
+                   std::span<const RequiredKey> required, Value* root,
+                   std::string* error) {
+  std::string parse_error;
+  if (!parse(text, root, &parse_error)) {
+    return fail(error, {what, " is not valid JSON: ", parse_error});
+  }
+  if (!root->isObject()) return fail(error, {what, " root must be an object"});
+  const Value* name = root->find("schema");
+  if (name == nullptr || !name->isString() || name->string != schema) {
+    return fail(error, {what, " must carry schema '", schema, "'"});
+  }
+  const Value* version = root->find("schema_version");
+  if (version == nullptr || !version->isNumber() || version->number < min_version ||
+      version->number > max_version || version->number != std::floor(version->number)) {
+    return fail(error, {what, " has an unsupported schema_version"});
+  }
+  return checkRequired(*root, required, what, error);
 }
 
 }  // namespace json

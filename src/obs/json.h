@@ -5,11 +5,12 @@
 // and comma placement; it is the single serializer behind Chrome trace
 // export, the metrics snapshot, the versioned run report, and the
 // BENCH_*.json bench outputs. The parser builds a small DOM used by the
-// run-report validator and the trace/report tests — it accepts exactly
-// the JSON this repo emits (no comments, no trailing commas) plus any
-// other RFC 8259 document.
+// document validators (parseDocument) and the trace/report tests — it
+// accepts exactly the JSON this repo emits (no comments, no trailing
+// commas) plus any other RFC 8259 document.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -82,6 +83,28 @@ struct Value {
 /// Parses a complete JSON document. On failure returns false and, when
 /// `error` is non-null, stores a message with the byte offset.
 bool parse(std::string_view text, Value* out, std::string* error = nullptr);
+
+/// One member a document must carry: a top-level key or a "section.key"
+/// path one level deep, and the Kind its value must have.
+struct RequiredKey {
+  const char* path;
+  Value::Kind kind;
+};
+
+/// Checks that every `required` path of `root` is present with its Kind.
+/// On failure returns false and stores a message naming `what` (the
+/// document, e.g. "run report") and the offending path.
+bool checkRequired(const Value& root, std::span<const RequiredKey> required,
+                   std::string_view what, std::string* error);
+
+/// Schema check shared by the repo's versioned documents: parses `text`
+/// into `root`, requires an object whose "schema" string is `schema` and
+/// whose "schema_version" is an integer in [min_version, max_version],
+/// then runs checkRequired. Document-specific checks run on `root` after.
+bool parseDocument(std::string_view text, std::string_view what,
+                   std::string_view schema, int min_version, int max_version,
+                   std::span<const RequiredKey> required, Value* root,
+                   std::string* error);
 
 }  // namespace json
 }  // namespace eco::obs

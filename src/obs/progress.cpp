@@ -142,45 +142,21 @@ std::string statusJson() {
 }
 
 bool validateStatusJson(const std::string& json, std::string* error) {
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
-  json::Value root;
-  std::string parse_error;
-  if (!json::parse(json, &root, &parse_error)) {
-    return fail("status is not valid JSON: " + parse_error);
-  }
-  if (!root.isObject()) return fail("status root must be an object");
-  const json::Value* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->string != kStatusSchema) {
-    return fail("status document must carry schema '" +
-                std::string(kStatusSchema) + "'");
-  }
-  const json::Value* version = root.find("schema_version");
-  if (version == nullptr || !version->isNumber() ||
-      version->number != static_cast<double>(kStatusSchemaVersion)) {
-    return fail("unsupported status schema_version");
-  }
-  const struct {
-    const char* key;
-    json::Value::Kind kind;
-  } required[] = {
+  static constexpr json::RequiredKey kRequired[] = {
       {"uptime_seconds", json::Value::Kind::Number},
       {"labels", json::Value::Kind::Object},
       {"gauges", json::Value::Kind::Object},
       {"resources", json::Value::Kind::Object},
   };
-  for (const auto& req : required) {
-    const json::Value* v = root.find(req.key);
-    if (v == nullptr) {
-      return fail(std::string("status missing required key '") + req.key + "'");
-    }
-    if (v->kind != req.kind) {
-      return fail(std::string("status key '") + req.key + "' has wrong type");
-    }
+  json::Value root;
+  if (!json::parseDocument(json, "status", kStatusSchema, kStatusSchemaVersion,
+                           kStatusSchemaVersion, kRequired, &root, error)) {
+    return false;
   }
+  const auto fail = [&](const std::string& msg) {
+    if (error != nullptr) *error = msg;
+    return false;
+  };
   for (const auto& [name, value] : root.find("gauges")->object) {
     if (!value.isNumber()) {
       return fail("status gauge '" + name + "' must be a number");

@@ -7,9 +7,9 @@
 // this layer answers "what is the process doing right now". Publishers are
 // the engine stages (ProgressScope labels), the FRAIG round loop and the
 // SAT search loop (gauges), and the fuzz sweep. Consumers are the CLI
-// --status-fd stream, the SIGUSR1 dump, the StatsServer /status endpoint,
-// and the flight-recorder postmortem (the "in-flight stage" it names is
-// the engine.stage label at dump time).
+// --status-fd stream, the SIGUSR1 dump, and the flight-recorder
+// postmortem (the "in-flight stage" it names is the engine.stage label at
+// dump time).
 //
 // Update contract mirrors metrics.h: interned once per site, then relaxed
 // atomic stores — safe from any thread, no locks, no allocation. With

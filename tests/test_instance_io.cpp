@@ -83,6 +83,34 @@ endmodule
   EXPECT_THROW(loadInstance(f, g, ""), std::runtime_error);
 }
 
+TEST(InstanceIo, RejectsReorderedOutputs) {
+  // Outputs pair by position: a golden that only reorders its outputs
+  // would otherwise be compared against the wrong faulty outputs.
+  const std::string f = R"(
+module top ( a, b, o0, o1 );
+input a, b;
+output o0, o1;
+wire t0;
+buf g1 ( o0, t0 );
+buf g2 ( o1, b );
+endmodule
+)";
+  const std::string g = R"(
+module top ( a, b, o1, o0 );
+input a, b;
+output o1, o0;
+buf g1 ( o0, a );
+buf g2 ( o1, b );
+endmodule
+)";
+  try {
+    loadInstance(f, g, "");
+    FAIL() << "reordered outputs were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "output name mismatch at position 0: 'o0' vs 'o1'");
+  }
+}
+
 TEST(InstanceIo, RejectsGoldenWithFloatingWires) {
   const std::string f = R"(
 module top ( a, o );

@@ -1,11 +1,17 @@
 // Tests for the observability subsystem: JSON emitter/parser round trips,
-// metrics aggregation under concurrency, and trace sessions producing
-// well-formed Chrome trace_event JSON with per-thread monotonic spans.
+// metrics aggregation under concurrency, trace sessions producing
+// well-formed Chrome trace_event JSON with per-thread monotonic spans, the
+// status emitter thread, and the postmortem dump paths (CheckError at the
+// throw site; a fatal signal in a forked child through the crash handlers).
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/check.h"
 #include "base/thread_pool.h"
 #include "eco/engine.h"
 #include "obs/obs.h"
@@ -611,73 +618,133 @@ TEST(FlightRecorder, DumpPostmortemWritesConfiguredPathOnce) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------- prometheus --
+// ----------------------------------------- status stream and postmortems --
 
-TEST(Prometheus, LabelEscaping) {
-  std::string out;
-  appendPrometheusLabelEscaped(out, "a\\b\"c\nd");
-  EXPECT_EQ(out, "a\\\\b\\\"c\\nd");
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-TEST(Prometheus, NameSanitization) {
-  std::string out;
-  appendPrometheusName(out, "sat.conflicts-per run:x");
-  EXPECT_EQ(out, "sat_conflicts_per_run:x");
-}
+TEST(StatusEmitter, StreamsValidStatusLines) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_TRUE(startStatusEmitter(fds[1], 0.05));
+  EXPECT_FALSE(startStatusEmitter(fds[1], 0.05)) << "already running";
+  requestStatusDump();  // on-demand line in addition to the periodic ones
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  stopStatusEmitter();
+  ::close(fds[1]);
 
-TEST(Prometheus, ExpositionIsWellFormed) {
-  ECO_OBS_COUNT("test.obs.prom_counter", 3);
-  ECO_OBS_OBSERVE("test.obs.prom_hist", 6);
-  const std::string text = prometheusText();
+  std::string stream;
+  char buf[65536];
+  ssize_t n;
+  while ((n = ::read(fds[0], buf, sizeof(buf))) > 0) {
+    stream.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
 
-  // Every line is a comment or `name{labels} value` with a sane name.
-  std::istringstream lines(text);
+  std::istringstream lines(stream);
   std::string line;
+  std::size_t count = 0;
   while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    if (line[0] == '#') {
-      EXPECT_EQ(line.rfind("# TYPE ecopatch_", 0), 0u) << line;
-      continue;
-    }
-    EXPECT_EQ(line.rfind("ecopatch_", 0), 0u) << line;
-    const auto space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string value = line.substr(space + 1);
-    EXPECT_FALSE(value.empty()) << line;
-    char* end = nullptr;
-    (void)std::strtod(value.c_str(), &end);
-    EXPECT_EQ(*end, '\0') << "non-numeric sample value: " << line;
+    if (line.empty()) continue;
+    ++count;
+    std::string error;
+    EXPECT_TRUE(validateStatusJson(line, &error)) << error << "\n" << line;
   }
+  // ~250ms at a 50ms period plus the requested dump and the final line.
+  EXPECT_GE(count, 3u);
+}
 
-#if ECO_OBS_ENABLED
-  EXPECT_NE(text.find("# TYPE ecopatch_test_obs_prom_counter_total counter"),
+TEST(Postmortem, CheckErrorDumpsAtThrowSite) {
+  const std::string path = ::testing::TempDir() + "/eco_check_postmortem.json";
+  std::remove(path.c_str());
+  setPostmortemPath(path.c_str());
+
+  // The dump happens inside checkFailed, before unwinding: the stage
+  // label active at the throw site must appear in the postmortem even
+  // though this scope is gone by the time the exception is caught.
+  EXPECT_THROW(
+      {
+        ProgressScope stage("engine.stage", "postmortem-test-stage");
+        ECO_CHECK_MSG(false, "planted failure");
+      },
+      CheckError);
+  setPostmortemPath(nullptr);
+
+  const std::string json = readFile(path);
+  ASSERT_FALSE(json.empty()) << "no postmortem written to " << path;
+  std::string error;
+  EXPECT_TRUE(validatePostmortemJson(json, &error)) << error;
+
+  json::Value doc;
+  ASSERT_TRUE(json::parse(json, &doc, &error)) << error;
+  EXPECT_EQ(doc.find("reason")->string, "check-error");
+  EXPECT_NE(doc.find("detail")->string.find("planted failure"),
             std::string::npos);
-  EXPECT_NE(text.find("ecopatch_test_obs_prom_hist_count"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+#if ECO_OBS_ENABLED
+  const json::Value* labels = doc.find("labels");
+  ASSERT_NE(labels->find("engine.stage"), nullptr);
+  EXPECT_EQ(labels->find("engine.stage")->string, "postmortem-test-stage");
+#endif
+  std::remove(path.c_str());
+}
 
-  // Histogram buckets are cumulative and end at the count.
-  ECO_OBS_OBSERVE("test.obs.prom_cumulative", 1);
-  ECO_OBS_OBSERVE("test.obs.prom_cumulative", 100);
-  const std::string text2 = prometheusText();
-  std::uint64_t prev = 0;
-  std::uint64_t last = 0;
-  std::istringstream lines2(text2);
-  while (std::getline(lines2, line)) {
-    if (line.rfind("ecopatch_test_obs_prom_cumulative_bucket", 0) != 0) {
-      continue;
-    }
-    const std::uint64_t v =
-        std::strtoull(line.substr(line.rfind(' ') + 1).c_str(), nullptr, 10);
-    EXPECT_GE(v, prev) << "buckets must be cumulative: " << line;
-    prev = v;
-    last = v;
+TEST(Postmortem, FatalSignalInChildDumpsViaCrashHandlers) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes intercept fatal signals";
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes intercept fatal signals";
+#endif
+#endif
+  const std::string path = ::testing::TempDir() + "/eco_crash_postmortem.json";
+  std::remove(path.c_str());
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: configure the dump, record some activity, then die the way
+    // a real crash does. _exit on any unexpected path so gtest state
+    // never doubles up.
+    setPostmortemPath(path.c_str());
+    installCrashHandlers();
+    setLabel("engine.stage", "child-crash-stage");
+    { Span s("child.crash.span", Span::Mode::kTimed); }
+    ::raise(SIGSEGV);
+    ::_exit(97);  // unreachable if the handler re-raises correctly
   }
-  EXPECT_EQ(last, 2u);  // +Inf bucket equals the observation count
-#endif  // ECO_OBS_ENABLED
 
-  // The resource series are present in both obs modes.
-  EXPECT_NE(text.find("ecopatch_peak_rss_bytes"), std::string::npos);
-  EXPECT_NE(text.find("ecopatch_cpu_seconds_total"), std::string::npos);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  // The handler re-raises with default disposition: death by SIGSEGV,
+  // not a clean exit.
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with "
+                                   << WEXITSTATUS(status);
+  EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+
+  const std::string json = readFile(path);
+  ASSERT_FALSE(json.empty()) << "crash handler wrote no postmortem";
+  std::string error;
+  EXPECT_TRUE(validatePostmortemJson(json, &error)) << error;
+  json::Value doc;
+  ASSERT_TRUE(json::parse(json, &doc, &error)) << error;
+  EXPECT_EQ(doc.find("reason")->string, "signal:SIGSEGV");
+#if ECO_OBS_ENABLED
+  EXPECT_EQ(doc.find("labels")->find("engine.stage")->string,
+            "child-crash-stage");
+  bool saw_span = false;
+  for (const json::Value& t : doc.find("threads")->array) {
+    for (const json::Value& e : t.find("events")->array) {
+      if (e.find("name")->string == "child.crash.span") saw_span = true;
+    }
+  }
+  EXPECT_TRUE(saw_span);
+#endif
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ resource --
