@@ -35,9 +35,11 @@
 //                          unlimited)
 //   --quiet                suppress the stage report
 //
-// Exit codes: 0 patched+verified; 1 usage/parse error or a patch file
-// that cannot be written; 2 no verified patch (unrectifiable, time budget
-// exhausted, or an internal error such as a failed invariant audit).
+// Exit codes: 0 patched+verified; 1 usage/parse error, or a patch, --json
+// or --trace file that cannot be written (a lost report wins over 2, so
+// exit 2 always means the report asked for was written); 2 no verified
+// patch (unrectifiable, time budget exhausted, or an internal error such
+// as a failed invariant audit).
 
 #include <cctype>
 #include <cerrno>
@@ -214,11 +216,13 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::startTrace();
   const PatchResult r = EcoEngine(opt).run(inst);
   obs::stopStatusEmitter();
+  bool report_lost = false;  // a requested --trace or --json file not written
   if (!trace_path.empty()) {
     const obs::TraceDump dump = obs::stopTrace();
     std::string trace_error;
     if (!obs::writeChromeTrace(trace_path, dump, &trace_error)) {
       std::fprintf(stderr, "ecopatch: %s\n", trace_error.c_str());
+      report_lost = true;
     } else if (!quiet) {
       std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
                   dump.events.size());
@@ -227,13 +231,14 @@ int main(int argc, char** argv) {
   if (!json_path.empty() &&
       !writeTextFile(json_path, writeJsonReport(inst, r))) {
     std::fprintf(stderr, "ecopatch: cannot write '%s'\n", json_path.c_str());
+    report_lost = true;
   }
   if (!r.success) {
     std::fprintf(stderr, "ecopatch: %s\n", r.message.c_str());
     if (!r.audit_json.empty()) {
       std::fprintf(stderr, "%s\n", r.audit_json.c_str());
     }
-    return 2;
+    return report_lost ? 1 : 2;
   }
   if (!quiet) std::printf("%s", formatRunReport(inst, r).c_str());
   const std::string patch_text = io::writeVerilog(r.patch, "patch");
@@ -246,5 +251,5 @@ int main(int argc, char** argv) {
     }
     if (!quiet) std::printf("patch written to %s\n", out_path.c_str());
   }
-  return 0;
+  return report_lost ? 1 : 0;
 }

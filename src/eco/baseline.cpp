@@ -1,5 +1,6 @@
 #include "eco/baseline.h"
 
+#include <numeric>
 #include <unordered_map>
 
 #include "base/timer.h"
@@ -76,7 +77,9 @@ PatchResult runTang11(const EcoInstance& instance) {
     patches.push_back(extractXPatch(instance, ws, oo.on, k));
   }
 
-  const VerifyOutcome v = verifyPatches(ws, patches);
+  std::vector<std::uint32_t> all_outputs(ws.f_roots.size());
+  std::iota(all_outputs.begin(), all_outputs.end(), 0u);
+  const VerifyOutcome v = verifyPatches(ws, patches, all_outputs);
   result.seconds = timer.seconds();
   if (!v.equivalent) {
     result.success = false;

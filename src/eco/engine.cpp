@@ -242,7 +242,9 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
 
   // Outputs no target can influence must already match the golden circuit.
   // The FRAIG classes prove the ones whose two roots share a class; the
-  // rest go to one miter.
+  // rest go to one miter. The touched outputs, those of some cluster, are
+  // then the only ones a patch can change (verify.h).
+  std::vector<std::uint32_t> touched_pos;
   {
     std::vector<bool> touched(instance.faulty.numPos(), false);
     for (const TargetCluster& c : clusters) {
@@ -250,16 +252,16 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
     }
     std::vector<std::uint32_t> untouched;
     for (std::uint32_t j = 0; j < touched.size(); ++j) {
-      if (touched[j]) continue;
-      if (classes && classes->normalize(ws.f_roots[j]) ==
-                         classes->normalize(ws.g_roots[j])) {
-        continue;
+      if (touched[j]) {
+        touched_pos.push_back(j);
+      } else if (!classes || classes->normalize(ws.f_roots[j]) !=
+                                 classes->normalize(ws.g_roots[j])) {
+        untouched.push_back(j);
       }
-      untouched.push_back(j);
     }
     if (!untouched.empty()) {
       Stage stage("eco.verify_untouched", result);
-      VerifyOutcome v = verifyUntouchedOutputs(ws, untouched);
+      VerifyOutcome v = verifyPatches(ws, {}, untouched);
       if (!v.equivalent) {
         result.success = false;
         result.message =
@@ -364,7 +366,8 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
   // not rectifiable through the given targets.
   {
     Stage stage("eco.verify_initial", result);
-    VerifyOutcome v = verifyPatches(ws, patches);
+    stage.arg("outputs", touched_pos.size());
+    VerifyOutcome v = verifyPatches(ws, patches, touched_pos);
     if (!v.equivalent) {
       result.success = false;
       result.message = "unrectifiable: initial patch fails verification at output " +
@@ -385,7 +388,9 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
   }
 
   // Cost optimization (Sec. 6): per-target rebasing with Watch/Hold/CPB
-  // base selection, holding the other targets' patches fixed.
+  // base selection, holding the other targets' patches fixed. A cluster
+  // whose patch it replaces is dirty.
+  std::vector<bool> dirty(clusters.size(), false);
   if (options.use_cost_opt) {
     Stage stage("eco.opt", result);
     // Cheapest-first candidate cap; per-target bases are appended below.
@@ -406,16 +411,16 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
     }
 
     // Cluster lookup per target.
-    std::vector<const TargetCluster*> cluster_of(alpha, nullptr);
-    for (const TargetCluster& c : clusters) {
-      for (const std::uint32_t t : c.targets) cluster_of[t] = &c;
+    std::vector<std::size_t> cluster_of(alpha);
+    for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
+      for (const std::uint32_t t : clusters[ci].targets) cluster_of[t] = ci;
     }
 
     for (std::uint32_t round = 0; round < options.opt_rounds; ++round) {
       ECO_OBS_GAUGE_SET("eco.opt_round", round + 1);
       bool improved = false;
       for (std::uint32_t k = 0; k < alpha; ++k) {
-        const TargetCluster& cluster = *cluster_of[k];
+        const TargetCluster& cluster = clusters[cluster_of[k]];
         if (cluster.outputs.empty()) continue;  // patch is trivially const
         obs::Span target_span("eco.opt_target");
         target_span.arg("target", k);
@@ -505,6 +510,7 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
         }
         pruneUnusedInputs(np);
         patches[k] = std::move(np);
+        dirty[cluster_of[k]] = true;
         improved = true;
       }
       if (!improved) break;
@@ -527,10 +533,19 @@ void runStages(const EcoInstance& instance, const EcoOptions& options,
   // failure here is an engine defect, not an instance property — the
   // initial patch verified, so optimization broke it. Reported as a failed
   // result (message prefixed "internal error") rather than aborting, so the
-  // QA harness can catch, log, and shrink it.
+  // QA harness can catch, log, and shrink it. Only the dirty clusters'
+  // outputs can have changed since verify_initial.
   {
     Stage stage("eco.verify_final", result);
-    VerifyOutcome v = verifyPatches(ws, patches);
+    std::vector<std::uint32_t> changed_pos;
+    for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
+      if (!dirty[ci]) continue;
+      changed_pos.insert(changed_pos.end(), clusters[ci].outputs.begin(),
+                         clusters[ci].outputs.end());
+    }
+    std::sort(changed_pos.begin(), changed_pos.end());
+    stage.arg("outputs", changed_pos.size());
+    VerifyOutcome v = verifyPatches(ws, patches, changed_pos);
     if (!v.equivalent) {
       result.success = false;
       result.message =

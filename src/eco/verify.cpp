@@ -8,6 +8,7 @@ namespace eco {
 namespace {
 
 /// SAT-checks OR_j (a_j xor b_j) over the workspace PIs; fills a cex on SAT.
+/// Miter j compares output po_index[j].
 VerifyOutcome checkMiters(Workspace& ws, std::span<const Lit> a,
                           std::span<const Lit> b,
                           std::span<const std::uint32_t> po_index) {
@@ -48,8 +49,7 @@ VerifyOutcome checkMiters(Workspace& ws, std::span<const Lit> a,
   }
   for (std::size_t j = 0; j < miter_lits.size(); ++j) {
     if (solver.modelValue(miter_lits[j]) == sat::LBool::True) {
-      out.failing_output = po_index.empty() ? static_cast<std::uint32_t>(j)
-                                            : po_index[j];
+      out.failing_output = po_index[j];
       break;
     }
   }
@@ -67,23 +67,23 @@ Lit composePatchInWorkspace(Workspace& ws, const TargetPatch& patch) {
   return copyCones(patch.fn, roots, map, ws.w)[0];
 }
 
-VerifyOutcome verifyPatches(Workspace& ws, std::span<const TargetPatch> patches) {
+VerifyOutcome verifyPatches(Workspace& ws, std::span<const TargetPatch> patches,
+                            std::span<const std::uint32_t> outputs) {
+  if (outputs.empty()) {
+    VerifyOutcome out;
+    out.equivalent = true;
+    return out;
+  }
   VarMap repl;
   for (const TargetPatch& p : patches) {
     repl[ws.t_pis[p.target].var()] = composePatchInWorkspace(ws, p);
   }
-  const std::vector<Lit> patched = substitute(ws.w, ws.f_roots, repl);
-  return checkMiters(ws, patched, ws.g_roots, {});
-}
-
-VerifyOutcome verifyUntouchedOutputs(Workspace& ws,
-                                     std::span<const std::uint32_t> untouched_pos) {
-  std::vector<Lit> a, b;
-  for (const std::uint32_t j : untouched_pos) {
-    a.push_back(ws.f_roots[j]);
-    b.push_back(ws.g_roots[j]);
+  std::vector<Lit> f, g;
+  for (const std::uint32_t j : outputs) {
+    f.push_back(ws.f_roots[j]);
+    g.push_back(ws.g_roots[j]);
   }
-  return checkMiters(ws, a, b, untouched_pos);
+  return checkMiters(ws, substitute(ws.w, f, repl), g, outputs);
 }
 
 std::vector<bool> evaluatePatched(const EcoInstance& instance,

@@ -4,6 +4,14 @@
 // The decisive soundness check of the whole flow: substitute the patch
 // functions for the target pseudo-PIs inside the workspace and prove the
 // patched faulty outputs equivalent to the golden outputs with a miter.
+//
+// The engine checks only the outputs a patch can change. clusterTargets
+// unites every pair of targets that reach a common output, so a cluster's
+// outputs depend on its own targets' patches alone, and base signals lie
+// outside every target's fanout. An output in no cluster contains no target
+// pseudo-PI, so substitution leaves it unchanged; the engine proves those
+// before patch generation (FRAIG classes, then the same miter with no
+// patches).
 
 #include <cstdint>
 #include <span>
@@ -28,13 +36,12 @@ struct VerifyOutcome {
 
 /// Verifies that substituting `patches` (one per target, any order; targets
 /// not covered stay floating and make verification fail unless irrelevant)
-/// makes every faulty output equivalent to its golden counterpart.
-VerifyOutcome verifyPatches(Workspace& ws, std::span<const TargetPatch> patches);
-
-/// Checks whether the outputs untouched by any target already match —
-/// a necessary condition for rectifiability.
-VerifyOutcome verifyUntouchedOutputs(Workspace& ws,
-                                     std::span<const std::uint32_t> untouched_pos);
+/// makes the faulty outputs `outputs` (PO indices, ascending) equivalent to
+/// their golden counterparts, with one miter and one solver. On failure,
+/// `failing_output` is a PO index of the circuit, not a position in
+/// `outputs`. An empty `outputs` builds no miter and is equivalent.
+VerifyOutcome verifyPatches(Workspace& ws, std::span<const TargetPatch> patches,
+                            std::span<const std::uint32_t> outputs);
 
 /// Point-evaluates the patched faulty circuit on one X assignment: base
 /// signal values are computed from the faulty circuit (they never depend on

@@ -6,13 +6,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "aig/aig_ops.h"
 #include "benchgen/benchgen.h"
 #include "eco/baseline.h"
+#include "eco/clustering.h"
 #include "eco/engine.h"
 #include "eco/verify.h"
+#include "obs/obs_config.h"
+#include "obs/trace.h"
 #include "qa/oracle.h"
 
 namespace eco {
@@ -351,6 +357,97 @@ TEST(EcoEngine, StageTableCoversTheRun) {
   EXPECT_GT(rowSeconds("verify_final"), 0.0);
   EXPECT_EQ(r.verify_seconds, verify);
 }
+
+#if ECO_OBS_ENABLED
+/// A traced run's result and the `outputs` arg of its verify_initial and
+/// verify_final spans (-1 when the span is missing).
+struct VerifyGates {
+  PatchResult result;
+  std::int64_t initial_outputs = -1;
+  std::int64_t final_outputs = -1;
+};
+
+VerifyGates runTraced(const EcoInstance& inst, const EcoOptions& opt) {
+  obs::startTrace();
+  VerifyGates gates{EcoEngine(opt).run(inst)};
+  for (const obs::TraceEvent& e : obs::stopTrace().events) {
+    const std::string name = e.name;
+    std::int64_t* slot = name == "eco.verify_initial" ? &gates.initial_outputs
+                         : name == "eco.verify_final" ? &gates.final_outputs
+                                                      : nullptr;
+    if (slot == nullptr) continue;
+    EXPECT_STREQ(e.arg_name, "outputs") << name;
+    *slot = static_cast<std::int64_t>(e.arg_value);
+  }
+  return gates;
+}
+
+/// Per patch output (one per target): the sorted base names its cone reads
+/// and its AND count.
+std::vector<std::pair<std::vector<std::string>, std::uint32_t>> perTargetPatches(
+    const PatchResult& r) {
+  std::vector<std::pair<std::vector<std::string>, std::uint32_t>> out;
+  for (std::uint32_t k = 0; k < r.patch.numPos(); ++k) {
+    const std::vector<Lit> root{r.patch.poDriver(k)};
+    std::vector<std::string> names;
+    for (const std::uint32_t v : supportPis(r.patch, root)) {
+      names.push_back(r.patch.piName(r.patch.piIndex(v)));
+    }
+    std::sort(names.begin(), names.end());
+    out.emplace_back(std::move(names), coneAndCount(r.patch, root));
+  }
+  return out;
+}
+
+// verify_initial checks the outputs some cluster owns, and verify_final
+// only those of the clusters whose patch cost optimization replaced (read
+// here as the targets whose patch differs from the unoptimized run's).
+TEST(EcoEngine, VerifyGatesCheckOnlyOutputsAPatchCanChange) {
+  const benchgen::UnitSpec spec = benchgen::contestSuite()[10];
+  ASSERT_EQ(spec.name, "unit11");
+  const EcoInstance inst = benchgen::generateUnit(spec);
+  const std::vector<TargetCluster> clusters = clusterTargets(inst);
+  std::size_t touched = 0;
+  for (const TargetCluster& c : clusters) touched += c.outputs.size();
+
+  EcoOptions no_opt;
+  no_opt.use_cost_opt = false;
+  const PatchResult initial = EcoEngine(no_opt).run(inst);
+  const VerifyGates gates = runTraced(inst, EcoOptions());
+  ASSERT_TRUE(initial.success) << initial.message;
+  ASSERT_TRUE(gates.result.success) << gates.result.message;
+  ASSERT_LT(gates.result.cost, gates.result.initial_cost);
+
+  const auto before = perTargetPatches(initial);
+  const auto after = perTargetPatches(gates.result);
+  ASSERT_EQ(before.size(), inst.numTargets());
+  ASSERT_EQ(after.size(), inst.numTargets());
+  std::size_t changed = 0;
+  for (const TargetCluster& c : clusters) {
+    if (std::any_of(c.targets.begin(), c.targets.end(),
+                    [&](std::uint32_t k) { return before[k] != after[k]; })) {
+      changed += c.outputs.size();
+    }
+  }
+  EXPECT_EQ(gates.initial_outputs, static_cast<std::int64_t>(touched));
+  EXPECT_EQ(gates.final_outputs, static_cast<std::int64_t>(changed));
+}
+
+// When cost optimization replaces no patch, verify_final builds no miter
+// but still writes its stage row.
+TEST(EcoEngine, VerifyFinalChecksNothingWhenOptChangesNothing) {
+  const benchgen::UnitSpec spec = benchgen::contestSuite()[0];
+  ASSERT_EQ(spec.name, "unit01");
+  const VerifyGates gates = runTraced(benchgen::generateUnit(spec), EcoOptions());
+  const PatchResult& r = gates.result;
+  ASSERT_TRUE(r.success) << r.message;
+  EXPECT_EQ(r.cost, r.initial_cost);
+  EXPECT_EQ(r.size, r.initial_size);
+  EXPECT_GT(gates.initial_outputs, 0);
+  EXPECT_EQ(gates.final_outputs, 0);
+  EXPECT_TRUE(hasStageRow(r, "verify_final"));
+}
+#endif  // ECO_OBS_ENABLED
 
 // Randomized multi-seed robustness: many generated instances, all engines.
 class EngineSeeds : public ::testing::TestWithParam<std::uint64_t> {};
